@@ -295,8 +295,8 @@ fn bench_absint(c: &mut Criterion) {
     group.bench_function("certify_osr_soplex", |b| {
         b.iter(|| std::hint::black_box(pir::absint::certify_module(&m).len()))
     });
-    group.bench_function("analyze_cached_soplex", |b| {
-        b.iter(|| std::hint::black_box(pir::absint::analyze_function_cached(&m, pir::FuncId(0))))
+    group.bench_function("effects_soplex", |b| {
+        b.iter(|| std::hint::black_box(pir::effects::ModuleEffects::analyze(&m)))
     });
     group.finish();
     // Headline analysis throughput plus certified OSR-point counts for the

@@ -141,11 +141,6 @@ impl SliceJob {
         self.server.advance_to(self.target);
         self.server
     }
-
-    /// The server id, for labeling.
-    pub fn server_id(&self) -> usize {
-        self.server.id()
-    }
 }
 
 /// An executor for a batch of independent slice jobs. Must return the

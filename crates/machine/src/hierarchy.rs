@@ -191,11 +191,6 @@ impl MemorySystem {
         self.l3.occupancy_where(pred)
     }
 
-    /// Shared-LLC statistics.
-    pub fn llc_stats(&self) -> crate::cache::CacheStats {
-        self.l3.stats()
-    }
-
     /// LLC capacity in lines.
     pub fn llc_capacity(&self) -> usize {
         self.l3.capacity()

@@ -70,20 +70,6 @@ impl Options {
         self.optimize = true;
         self
     }
-
-    /// Enables (or disables) inter-stage invariant checking regardless of
-    /// build profile.
-    pub fn with_invariant_checks(mut self, on: bool) -> Self {
-        self.check_invariants = on;
-        self
-    }
-
-    /// Enables (or disables) per-stage translation validation with
-    /// [`pir::equiv`].
-    pub fn with_translation_validation(mut self, on: bool) -> Self {
-        self.validate_translations = on;
-        self
-    }
 }
 
 impl Default for Options {

@@ -36,15 +36,12 @@
 //! * [`crate::lint`] uses block reachability plus effect facts to flag
 //!   likely-divergent loops; [`crate::print`] renders the annotations.
 //!
-//! Results are memoized per `(module hash, function)` in a process-wide
-//! cache ([`analyze_function_cached`]) so the safety gate's hot path
-//! never recomputes a fixpoint for an unchanged module.
+//! Nothing is memoized here: each caller runs [`analyze_function`] and
+//! owns the result (e.g. [`crate::equiv`] computes each function's
+//! fixpoint at most once per module context). The fixpoint is cheaper
+//! than hashing the module it would be keyed by.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::dataflow::{is_reducible, BitSet, Cfg, Dominators, Liveness};
 use crate::effects::PtClass;
@@ -915,87 +912,6 @@ pub fn analyze_function_in(func: &Function, cfg: &Cfg) -> FuncAbsint {
 }
 
 // ---------------------------------------------------------------------------
-// Module-hash-keyed fixpoint cache
-// ---------------------------------------------------------------------------
-
-pub use crate::effects::CacheStats;
-
-std::thread_local! {
-    static STATS: std::cell::Cell<CacheStats> = const { std::cell::Cell::new(CacheStats { hits: 0, misses: 0 }) };
-}
-
-fn bump_stats(hit: bool) {
-    STATS.with(|s| {
-        let mut v = s.get();
-        if hit {
-            v.hits += 1;
-        } else {
-            v.misses += 1;
-        }
-        s.set(v);
-    });
-}
-
-/// This thread's cumulative [`analyze_function_cached`] hit/miss counts.
-/// (Counters are thread-local so concurrent tests and worker pools don't
-/// race; the cache itself is process-wide.)
-pub fn cache_stats() -> CacheStats {
-    STATS.with(|s| s.get())
-}
-
-struct CacheEntry {
-    module: Module,
-    funcs: Vec<Option<Arc<FuncAbsint>>>,
-}
-
-static CACHE: OnceLock<Mutex<HashMap<u64, CacheEntry>>> = OnceLock::new();
-
-const CACHE_CAP: usize = 16;
-
-fn module_hash(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    module.hash(&mut h);
-    h.finish()
-}
-
-/// [`analyze_function`] with memoization keyed by the module's hash.
-///
-/// The stored module is compared by value on lookup, so a hash collision
-/// degrades to a recompute instead of returning another module's facts.
-/// When the cache exceeds `CACHE_CAP` distinct modules it is cleared
-/// wholesale (module churn here means short-lived fuzz mutants, not a
-/// working set worth LRU bookkeeping).
-pub fn analyze_function_cached(module: &Module, fid: FuncId) -> Arc<FuncAbsint> {
-    let key = module_hash(module);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    {
-        let guard = cache.lock().expect("absint cache poisoned");
-        if let Some(entry) = guard.get(&key) {
-            if entry.module == *module {
-                if let Some(fa) = entry.funcs.get(fid.index()).and_then(|f| f.clone()) {
-                    bump_stats(true);
-                    return fa;
-                }
-            }
-        }
-    }
-    bump_stats(false);
-    let fa = Arc::new(analyze_function(module.function(fid)));
-    let mut guard = cache.lock().expect("absint cache poisoned");
-    if guard.len() >= CACHE_CAP && !guard.contains_key(&key) {
-        guard.clear();
-    }
-    let entry = guard.entry(key).or_insert_with(|| CacheEntry {
-        module: module.clone(),
-        funcs: vec![None; module.functions().len()],
-    });
-    if entry.module == *module && fid.index() < entry.funcs.len() {
-        entry.funcs[fid.index()] = Some(fa.clone());
-    }
-    fa
-}
-
-// ---------------------------------------------------------------------------
 // OSR-point certification
 // ---------------------------------------------------------------------------
 
@@ -1104,7 +1020,7 @@ impl OsrDecision {
 }
 
 /// Certifies every loop header of `module.function(fid)`: computes the
-/// live-in state at each header from [`Liveness`] and the cached abstract
+/// live-in state at each header from [`Liveness`] and the abstract
 /// states, and decides whether a variant could reconstruct it.
 pub fn certify_function(module: &Module, fid: FuncId) -> Vec<OsrDecision> {
     let func = module.function(fid);
@@ -1115,7 +1031,7 @@ pub fn certify_function(module: &Module, fid: FuncId) -> Vec<OsrDecision> {
     }
     let dom = Dominators::compute(&cfg);
     let reducible = is_reducible(&cfg, &dom);
-    let absint = analyze_function_cached(module, fid);
+    let absint = analyze_function_in(func, &cfg);
     let live = Liveness::new(func);
     let sol = live.solve(&cfg);
 
@@ -1437,24 +1353,6 @@ mod tests {
         let func = b.finish();
         let fa = analyze_function(&func);
         assert!(fa.block_in(h).is_some());
-    }
-
-    #[test]
-    fn cache_hits_after_first_analysis() {
-        let mut m = Module::new("cache-test-unique-name");
-        let mut b = FunctionBuilder::new("f", 1);
-        let p = b.param(0);
-        let d = b.add_imm(p, 3);
-        b.ret(Some(d));
-        let f = m.add_function(b.finish());
-        m.set_entry(f);
-        let before = cache_stats();
-        let a1 = analyze_function_cached(&m, f);
-        let a2 = analyze_function_cached(&m, f);
-        let after = cache_stats();
-        assert!(Arc::ptr_eq(&a1, &a2));
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
     }
 
     #[test]

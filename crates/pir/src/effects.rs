@@ -25,11 +25,8 @@
 //! conservative in the other direction: parameters and unknown regions
 //! overlap everything, so "no overlap" claims are trustworthy.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::ids::{FuncId, GlobalId, Reg};
 use crate::inst::{BinOp, Inst};
@@ -421,88 +418,6 @@ impl ModuleEffects {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Module-hash-keyed summary cache
-// ---------------------------------------------------------------------------
-
-/// Hit/miss counts for a process-wide analysis cache, read per thread.
-///
-/// Shared by this module's [`analyze_cached`] and the abstract
-/// interpreter's [`crate::absint::analyze_function_cached`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from the cache.
-    pub hits: u64,
-    /// Queries that had to compute a fixpoint.
-    pub misses: u64,
-}
-
-std::thread_local! {
-    static STATS: std::cell::Cell<CacheStats> = const { std::cell::Cell::new(CacheStats { hits: 0, misses: 0 }) };
-}
-
-/// This thread's cumulative [`analyze_cached`] hit/miss counts.
-/// (Counters are thread-local so concurrent tests and worker pools don't
-/// race; the cache itself is process-wide.)
-pub fn cache_stats() -> CacheStats {
-    STATS.with(|s| s.get())
-}
-
-/// Hash-keyed entries holding the module (compared on lookup to defuse
-/// collisions) beside its summaries.
-type EffectsCache = HashMap<u64, (Module, Arc<ModuleEffects>)>;
-
-static CACHE: OnceLock<Mutex<EffectsCache>> = OnceLock::new();
-
-const CACHE_CAP: usize = 16;
-
-fn module_hash(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    module.hash(&mut h);
-    h.finish()
-}
-
-/// [`ModuleEffects::analyze`] with memoization keyed by the module's hash.
-///
-/// The vet/equiv hot path queries effects for the same baseline module on
-/// every gate decision; this avoids recomputing the call-graph fixpoint
-/// each time. The stored module is compared by value on lookup, so a hash
-/// collision degrades to a recompute instead of returning another
-/// module's summaries. When the cache exceeds `CACHE_CAP` distinct
-/// modules it is cleared wholesale (module churn here means short-lived
-/// fuzz mutants, not a working set worth LRU bookkeeping).
-pub fn analyze_cached(module: &Module) -> Arc<ModuleEffects> {
-    let key = module_hash(module);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    {
-        let guard = cache.lock().expect("effects cache poisoned");
-        if let Some((stored, fx)) = guard.get(&key) {
-            if *stored == *module {
-                STATS.with(|s| {
-                    let mut v = s.get();
-                    v.hits += 1;
-                    s.set(v);
-                });
-                return fx.clone();
-            }
-        }
-    }
-    STATS.with(|s| {
-        let mut v = s.get();
-        v.misses += 1;
-        s.set(v);
-    });
-    let fx = Arc::new(ModuleEffects::analyze(module));
-    let mut guard = cache.lock().expect("effects cache poisoned");
-    if guard.len() >= CACHE_CAP && !guard.contains_key(&key) {
-        guard.clear();
-    }
-    guard
-        .entry(key)
-        .or_insert_with(|| (module.clone(), fx.clone()));
-    fx
-}
-
 /// Effects of `func`'s own instructions, calls excluded.
 fn local_effects(func: &Function, cls: &[PtClass]) -> FuncEffects {
     let mut e = FuncEffects::default();
@@ -554,27 +469,6 @@ mod tests {
         // Loaded values could be anything.
         assert_eq!(cls[v.index()], PtClass::Unknown);
         assert_eq!(cls[off.index()], PtClass::NotAddr);
-    }
-
-    #[test]
-    fn cached_summaries_are_shared_and_counted() {
-        let mut m = Module::new("fx-cache");
-        let g = m.add_global("buf", 64);
-        let mut b = FunctionBuilder::new("f", 0);
-        let base = b.global_addr(g);
-        let v = b.load(base, 0, Locality::Normal);
-        b.ret(Some(v));
-        let f = m.add_function(b.finish());
-        m.set_entry(f);
-
-        let before = cache_stats();
-        let a = analyze_cached(&m);
-        let b2 = analyze_cached(&m);
-        assert!(Arc::ptr_eq(&a, &b2), "second query must hit the cache");
-        let after = cache_stats();
-        assert!(after.misses >= before.misses, "miss counter monotone");
-        assert!(after.hits > before.hits, "hit counter advanced");
-        assert!(a.func(f).reads.globals.contains(&g));
     }
 
     #[test]

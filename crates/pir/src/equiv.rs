@@ -44,11 +44,11 @@
 //! recursion is handled coinductively by matching call events).
 //! [`check_module`] discharges the assumption by checking every pair.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
-use crate::absint::{self, Interval};
+use crate::absint::{self, FuncAbsint, Interval};
 use crate::dataflow::{is_reducible, Cfg, Dominators, Liveness};
 use crate::effects::ModuleEffects;
 use crate::ids::{BlockId, FuncId, GlobalId, Reg};
@@ -625,14 +625,17 @@ struct SideRun {
     flow: Flow,
 }
 
-/// Per-module context shared by all function pairs of one check.
+/// Per-module context shared by all function pairs of one check. It owns
+/// the module's analyses: effects are computed up front, abstract states
+/// per function on first use.
 struct ModuleCx<'m> {
     module: &'m Module,
-    effects: Arc<ModuleEffects>,
+    effects: ModuleEffects,
     /// Functions that are a single block of pure instructions (plus nops)
     /// ending in `ret` — these are summarized transparently at call sites,
     /// which is what makes inlining and DCE of pure calls provable.
     pure_leaf: Vec<bool>,
+    absint: Vec<OnceCell<FuncAbsint>>,
 }
 
 impl<'m> ModuleCx<'m> {
@@ -651,10 +654,32 @@ impl<'m> ModuleCx<'m> {
             .collect();
         ModuleCx {
             module,
-            effects: crate::effects::analyze_cached(module),
+            effects: ModuleEffects::analyze(module),
             pure_leaf,
+            absint: (0..module.functions().len())
+                .map(|_| OnceCell::new())
+                .collect(),
         }
     }
+
+    /// `fid`'s abstract states, computed at most once per context.
+    fn absint(&self, fid: FuncId) -> &FuncAbsint {
+        self.absint[fid.index()].get_or_init(|| absint::analyze_function(self.module.function(fid)))
+    }
+}
+
+/// Runs `f` on the contexts of `baseline` and `variant`. When both are
+/// the same module object (an identity proof), they share one context.
+fn with_cxs<R>(
+    baseline: &Module,
+    variant: &Module,
+    f: impl FnOnce(&ModuleCx<'_>, &ModuleCx<'_>) -> R,
+) -> R {
+    let cx_b = ModuleCx::new(baseline);
+    if std::ptr::eq(baseline, variant) {
+        return f(&cx_b, &cx_b);
+    }
+    f(&cx_b, &ModuleCx::new(variant))
 }
 
 /// Registers a function body may name, sized defensively.
@@ -1000,12 +1025,10 @@ fn run_bisim_from(
     let mut pin_banned: HashMap<(u32, u32), std::collections::HashSet<(bool, usize)>> =
         HashMap::new();
 
-    // Per-side abstract states (cached per module hash): sound interval
-    // invariants on every block's live-in registers, used to (a) seed cut
-    // symbols with ranges and (b) let the store buffer discharge aliasing
-    // queries the syntactic rule cannot.
-    let ab_b = absint::analyze_function_cached(cx_b.module, fid);
-    let ab_v = absint::analyze_function_cached(cx_v.module, fid);
+    // Per-side abstract states: sound interval invariants on every block's
+    // live-in registers, used to (a) seed cut symbols with ranges and (b)
+    // let the store buffer discharge aliasing queries the syntactic rule
+    // cannot.
     // In Header mode the variant's prefix never executes, so invariants
     // absint derived from the variant's *entry* (e.g. "this register is
     // always 4 here") do not hold of transferred states — a compensation
@@ -1014,6 +1037,8 @@ fn run_bisim_from(
     // transferred run is the genuine continuation of an entry-reachable
     // execution. So only Entry mode may consult the variant's states.
     let variant_absint_valid = matches!(start, Start::Entry);
+    let ab_b = cx_b.absint(fid);
+    let ab_v = variant_absint_valid.then(|| cx_v.absint(fid));
     let same_globals = cx_b.module.globals() == cx_v.module.globals();
 
     'rounds: for _round in 0..MAX_REFINEMENT_ROUNDS {
@@ -1163,11 +1188,7 @@ fn run_bisim_from(
             let mut groups = Vec::new();
             let mut pins = Vec::new();
             let st_b = ab_b.block_in(tb);
-            let st_v = if variant_absint_valid {
-                ab_v.block_in(tv)
-            } else {
-                None
-            };
+            let st_v = ab_v.and_then(|ab| ab.block_in(tv));
             let banned = pin_banned.get(&(tb.0, tv.0));
             for ((vn, _), members) in classes.into_iter() {
                 // A class holding a global base address is pinned rather
@@ -1477,9 +1498,9 @@ pub fn check_function_in(
             reason: format!("no function {fid} in both modules"),
         };
     }
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
-    check_function_cx(&cx_b, &cx_v, fid, opts)
+    with_cxs(baseline, variant, |cx_b, cx_v| {
+        check_function_cx(cx_b, cx_v, fid, opts)
+    })
 }
 
 /// Proves (or refutes, or gives up on) observational equivalence of two
@@ -1500,17 +1521,17 @@ pub fn check_module(baseline: &Module, variant: &Module, opts: &EquivOptions) ->
             )],
         };
     }
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
-    let results = (0..baseline.functions().len())
-        .map(|i| {
-            let fid = FuncId(i as u32);
-            (
-                baseline.function(fid).name().to_string(),
-                check_function_cx(&cx_b, &cx_v, fid, opts),
-            )
-        })
-        .collect();
+    let results = with_cxs(baseline, variant, |cx_b, cx_v| {
+        (0..baseline.functions().len())
+            .map(|i| {
+                let fid = FuncId(i as u32);
+                (
+                    baseline.function(fid).name().to_string(),
+                    check_function_cx(cx_b, cx_v, fid, opts),
+                )
+            })
+            .collect()
+    });
     EquivReport { results }
 }
 
@@ -1843,8 +1864,6 @@ pub fn validate_osr_transfer(
         }
     }
 
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
     let start = Start::Header {
         baseline: cert.header,
         variant: recipe.variant_header,
@@ -1852,7 +1871,9 @@ pub fn validate_osr_transfer(
         moves: &recipe.moves,
         consts: &recipe.consts,
     };
-    match run_bisim_from(&cx_b, &cx_v, fid, opts, &start) {
+    match with_cxs(baseline, variant, |cx_b, cx_v| {
+        run_bisim_from(cx_b, cx_v, fid, opts, &start)
+    }) {
         Outcome::Proved { nt_flips } => TransferVerdict::Proved {
             recipe: recipe.clone(),
             nt_flips,

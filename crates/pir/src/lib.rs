@@ -83,7 +83,7 @@ pub use absint::{
 };
 pub use analysis::{load_sites, LoadSite};
 pub use builder::FunctionBuilder;
-pub use effects::{CacheStats, FuncEffects, ModuleEffects, PtClass, RegionSet};
+pub use effects::{FuncEffects, ModuleEffects, PtClass, RegionSet};
 pub use equiv::{
     check_function_in, check_module, interval_disjoint_facts, prove_osr_transfer,
     validate_osr_transfer, Counterexample, EquivOptions, EquivReport, TransferRecipe,

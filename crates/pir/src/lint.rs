@@ -25,6 +25,7 @@
 use std::fmt;
 
 use crate::dataflow::{self, Cfg, Liveness};
+use crate::effects::ModuleEffects;
 use crate::ids::{BlockId, FuncId};
 use crate::inst::{Inst, Locality};
 use crate::loops;
@@ -360,14 +361,18 @@ fn lint_unknown_address_stores(cx: &FuncCx<'_>, out: &mut Vec<Diagnostic>) {
 /// without ever telling anyone, which in a server binary is almost always
 /// a transformation bug rather than intent (intentional event loops park
 /// in `wait`).
-fn lint_likely_divergent_loops(cx: &FuncCx<'_>, module: &Module, out: &mut Vec<Diagnostic>) {
+fn lint_likely_divergent_loops(
+    cx: &FuncCx<'_>,
+    module: &Module,
+    fx: &ModuleEffects,
+    out: &mut Vec<Diagnostic>,
+) {
     let info = loops::analyze_in(cx.func, &cx.cfg);
     if info.headers().is_empty() {
         return;
     }
     let dom = dataflow::Dominators::compute(&cx.cfg);
-    let absint = crate::absint::analyze_function_cached(module, cx.fid);
-    let fx = crate::effects::analyze_cached(module);
+    let absint = crate::absint::analyze_function_in(cx.func, &cx.cfg);
     for &h in info.headers() {
         if absint.block_in(h).is_none() {
             continue; // the loop never runs; unreachable-block covers it
@@ -455,6 +460,12 @@ fn lint_osr_header_unprovable(cx: &FuncCx<'_>, module: &Module, out: &mut Vec<Di
 
 /// Runs every lint pass over one function of `module`.
 pub fn lint_function(module: &Module, fid: FuncId) -> Vec<Diagnostic> {
+    lint_function_with(module, fid, &ModuleEffects::analyze(module))
+}
+
+/// [`lint_function`] with the module's effect summaries supplied by the
+/// caller, so a whole-module lint computes them once.
+fn lint_function_with(module: &Module, fid: FuncId, fx: &ModuleEffects) -> Vec<Diagnostic> {
     let func = module.function(fid);
     let cx = FuncCx {
         func,
@@ -468,7 +479,7 @@ pub fn lint_function(module: &Module, fid: FuncId) -> Vec<Diagnostic> {
     lint_nt_outside_loop(&cx, &mut out);
     lint_never_virtualizable_calls(&cx, module, &mut out);
     lint_unknown_address_stores(&cx, &mut out);
-    lint_likely_divergent_loops(&cx, module, &mut out);
+    lint_likely_divergent_loops(&cx, module, fx, &mut out);
     lint_osr_header_unprovable(&cx, module, &mut out);
     out
 }
@@ -479,9 +490,10 @@ pub fn lint_function(module: &Module, fid: FuncId) -> Vec<Diagnostic> {
 /// lint passes tolerate some structural breakage (they skip what they
 /// cannot analyze) but give their best diagnostics on verified IR.
 pub fn lint_module(module: &Module) -> LintReport {
+    let fx = ModuleEffects::analyze(module);
     let mut diags = Vec::new();
     for fid in 0..module.functions().len() {
-        diags.extend(lint_function(module, FuncId(fid as u32)));
+        diags.extend(lint_function_with(module, FuncId(fid as u32), &fx));
     }
     LintReport { diags }
 }

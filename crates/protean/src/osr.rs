@@ -467,28 +467,6 @@ impl OsrController {
         Ok(())
     }
 
-    /// Requests a deoptimization of the transfer currently on probation
-    /// (the owning policy layer's QoS-regression signal). The thread is
-    /// parked at the *variant* header and unwound on a later
-    /// [`tick`](OsrController::tick).
-    ///
-    /// # Errors
-    ///
-    /// [`OsrError::Busy`] when no transfer is on probation.
-    pub fn request_deopt(&mut self, os: &mut Os, rt: &Runtime) -> Result<(), OsrError> {
-        match &mut self.phase {
-            Phase::Probation(p) if !p.deopt_armed => {
-                os.osr_arm(rt.pid(), p.variant_pc, 1);
-                p.deopt_armed = true;
-                Ok(())
-            }
-            Phase::Probation(_) => Ok(()),
-            _ => Err(OsrError::Busy {
-                phase: self.phase_name(),
-            }),
-        }
-    }
-
     /// Advances the state machine: abandons expired arming windows,
     /// verifies + applies + resumes parked transfers, expires probation,
     /// and unwinds requested deopts. Call once per controller tick.

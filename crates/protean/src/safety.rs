@@ -38,8 +38,8 @@
 //! letting the validator discharge memory-disjointness obligations
 //! (reordered or hoisted accesses to provably separate locations) that a
 //! purely syntactic alias rule would leave `Unknown`. The runtime
-//! surfaces that consultation as `gate.absint_*` metrics and
-//! `absint-consult` trace events.
+//! surfaces that consultation as the `gate.absint_disjoint_facts`
+//! counter and `absint-consult` trace events.
 
 use std::fmt;
 

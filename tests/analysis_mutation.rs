@@ -11,7 +11,9 @@
 //!   undermine all of them.
 //! * **Cleanliness of the shipped programs** — every pristine catalog
 //!   program lints free of error-severity diagnostics, so the lint layer
-//!   can run over real modules without false alarms.
+//!   can run over real modules without false alarms. Whole-module lint
+//!   (which computes effect summaries once) reports exactly what linting
+//!   each function on its own does.
 
 use std::sync::OnceLock;
 
@@ -178,6 +180,22 @@ fn every_catalog_program_lints_error_free() {
             "{} has lint errors:\n{}",
             w.name,
             report
+        );
+    }
+}
+
+#[test]
+fn module_lint_equals_per_function_lint_on_catalog() {
+    for w in catalog::CATALOG {
+        let m = catalog::build(w.name, LLC_LINES).expect("catalog workload");
+        let per_function: Vec<_> = (0..m.functions().len())
+            .flat_map(|f| lint::lint_function(&m, FuncId(f as u32)))
+            .collect();
+        assert_eq!(
+            lint::lint_module(&m).diagnostics(),
+            per_function.as_slice(),
+            "{}",
+            w.name
         );
     }
 }
