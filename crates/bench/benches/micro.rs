@@ -414,6 +414,17 @@ fn bench_osr_transfer(c: &mut Criterion) {
             std::hint::black_box(proved)
         })
     });
+    // The same self-transfer sweep as `prove_self_soplex`, with every
+    // header proved over one shared context pair.
+    group.bench_function("module_batch_soplex", |b| {
+        b.iter(|| {
+            let proved = pir::prove_osr_transfers(&m, &m, &certs, &opts)
+                .iter()
+                .filter(|v| v.is_proved())
+                .count();
+            std::hint::black_box(proved)
+        })
+    });
     group.finish();
     // Per-workload transfer provability and proof throughput for the CI
     // trend file: how many certified headers the runtime could actually

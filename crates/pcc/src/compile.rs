@@ -241,20 +241,11 @@ impl Compiler {
             // prover can close against the module itself (identity
             // remap). Shape-identical NT variants inherit these verbatim
             // at the gate; rewritten variants get re-proved there.
-            let osr_recipes = osr
-                .iter()
-                .filter_map(|cert| {
-                    pir::prove_osr_transfer(
-                        module,
-                        module,
-                        cert.func,
-                        cert,
-                        &pir::EquivOptions::default(),
-                    )
-                    .recipe()
-                    .cloned()
-                })
-                .collect();
+            let osr_recipes =
+                pir::prove_osr_transfers(module, module, &osr, &pir::EquivOptions::default())
+                    .iter()
+                    .filter_map(|v| v.recipe().cloned())
+                    .collect();
             let meta = EmbeddedMeta {
                 module: module.clone(),
                 link: link.clone(),

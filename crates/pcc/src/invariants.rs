@@ -150,7 +150,7 @@ pub fn check_osr_certificates(
 }
 
 /// Checks that embedded OSR transfer recipes are exactly the ones
-/// [`pir::prove_osr_transfer`] re-derives and re-proves for `module`
+/// [`pir::prove_osr_transfers`] re-derives and re-proves for `module`
 /// against the embedded certificates. Like the certificates, derivation
 /// is deterministic; a mismatch means stale or fabricated recipes —
 /// and a fabricated recipe would let the OSR runtime rebuild a frame
@@ -165,20 +165,11 @@ pub fn check_osr_transfer(
     recipes: &[pir::TransferRecipe],
     stage: &'static str,
 ) -> Result<(), CompileError> {
-    let expected: Vec<pir::TransferRecipe> = certs
-        .iter()
-        .filter_map(|cert| {
-            pir::prove_osr_transfer(
-                module,
-                module,
-                cert.func,
-                cert,
-                &pir::EquivOptions::default(),
-            )
-            .recipe()
-            .cloned()
-        })
-        .collect();
+    let expected: Vec<pir::TransferRecipe> =
+        pir::prove_osr_transfers(module, module, certs, &pir::EquivOptions::default())
+            .iter()
+            .filter_map(|v| v.recipe().cloned())
+            .collect();
     if recipes != expected.as_slice() {
         return Err(CompileError::InvariantViolation {
             stage,

@@ -1,31 +1,27 @@
-//! Conservative alias and memory-effects analysis.
+//! Points-to classes and whole-module effect bits.
 //!
-//! The equivalence checker ([`crate::equiv`]) and the lint layer both need
-//! answers to two questions about memory the verifier cannot give:
+//! The equivalence checker ([`crate::equiv`]), the abstract interpreter
+//! ([`crate::absint`]) and the lint layer need answers to two questions
+//! the verifier cannot give:
 //!
 //! * **Where may this address point?** Every register gets a *points-to
 //!   class* ([`PtClass`]): derived from a specific global, derived from a
 //!   specific incoming parameter, a known non-address integer, or unknown.
 //!   The classes form a tiny join lattice and are computed flow-insensitively
 //!   (a register's class covers every definition it may hold).
-//! * **What does this instruction / function touch?** Per-instruction
-//!   summaries ([`InstEffect`]) and transitive per-function summaries
-//!   ([`FuncEffects`]) over abstract [`RegionSet`]s: which globals/params a
-//!   body may read, write, or prefetch (non-temporal loads), plus whether it
-//!   publishes application metrics or parks in `wait`.
+//! * **What can calling this function do?** [`ModuleEffects`] keeps two
+//!   bits per function: *store-free* (no store is reachable through the
+//!   call graph) and *observably pure* (no store, metric report or `wait`
+//!   is reachable). The checker needs only the first, to decide whether a
+//!   call clobbers its store buffer; the lint pass needs the second. Both
+//!   depend only on which instructions are reachable, not on how addresses
+//!   were classified, so they are exact rather than approximations.
 //!
-//! Precision notes, honest edition: the class lattice treats "not an
-//! address" as the bottom element, so a register that mixes integer and
-//! pointer definitions keeps the pointer class. That is fine for every use
-//! in this crate — the equivalence checker only relies on effect
-//! *emptiness* (`writes` empty ⇒ the callee executes no store at all, which
-//! holds regardless of how store addresses were classified, because every
-//! store inserts at least the unknown region), and the lint pass is
-//! advisory. Region *disjointness* ([`RegionSet::may_overlap`]) is
-//! conservative in the other direction: parameters and unknown regions
-//! overlap everything, so "no overlap" claims are trustworthy.
+//! Precision note: the class lattice treats "not an address" as the bottom
+//! element, so a register that mixes integer and pointer definitions keeps
+//! the pointer class. Its consumers are advisory (lint) or re-check the
+//! class flow-sensitively (absint).
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::ids::{FuncId, GlobalId, Reg};
@@ -127,9 +123,7 @@ pub fn reg_classes(func: &Function) -> Vec<PtClass> {
                             },
                             // Any other arithmetic yields an integer: a
                             // scaled or masked pointer is an offset, not a
-                            // pointer. If such a value is still used as an
-                            // address, `RegionSet::insert_class` routes the
-                            // `NotAddr` class to the unknown region.
+                            // pointer.
                             _ => PtClass::NotAddr,
                         };
                         Some((*dst, c))
@@ -163,281 +157,77 @@ pub fn reg_classes(func: &Function) -> Vec<PtClass> {
 }
 
 // ---------------------------------------------------------------------------
-// Region sets
+// Effect bits
 // ---------------------------------------------------------------------------
 
-/// An abstract set of memory regions: named globals, regions reachable
-/// from named parameters, and optionally the unknown region (which covers
-/// everything, including absolute integer addresses).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RegionSet {
-    globals: BTreeSet<GlobalId>,
-    params: BTreeSet<u32>,
-    unknown: bool,
-}
-
-impl RegionSet {
-    /// The empty region set.
-    pub fn new() -> RegionSet {
-        RegionSet::default()
-    }
-
-    /// Adds the region an access through a register of class `c` may touch.
-    /// Integer-class bases are absolute addresses, i.e. unknown.
-    pub fn insert_class(&mut self, c: PtClass) {
-        match c {
-            PtClass::Global(g) => {
-                self.globals.insert(g);
-            }
-            PtClass::Param(p) => {
-                self.params.insert(p);
-            }
-            PtClass::NotAddr | PtClass::Unknown => self.unknown = true,
-        }
-    }
-
-    /// `self ∪= other`; returns true if `self` grew.
-    pub fn union_with(&mut self, other: &RegionSet) -> bool {
-        let before = (self.globals.len(), self.params.len(), self.unknown);
-        self.globals.extend(other.globals.iter().copied());
-        self.params.extend(other.params.iter().copied());
-        self.unknown |= other.unknown;
-        before != (self.globals.len(), self.params.len(), self.unknown)
-    }
-
-    /// True if the set covers no region at all.
-    pub fn is_empty(&self) -> bool {
-        self.globals.is_empty() && self.params.is_empty() && !self.unknown
-    }
-
-    /// True if the set includes the unknown (anything-goes) region.
-    pub fn has_unknown(&self) -> bool {
-        self.unknown
-    }
-
-    /// True if the set may cover global `g`.
-    pub fn may_touch_global(&self, g: GlobalId) -> bool {
-        self.unknown || !self.params.is_empty() || self.globals.contains(&g)
-    }
-
-    /// Conservative overlap test. Parameter and unknown regions may alias
-    /// anything, so disjointness is only claimed for two pure,
-    /// non-intersecting global sets (or when either side is empty).
-    pub fn may_overlap(&self, other: &RegionSet) -> bool {
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
-        if self.unknown || other.unknown || !self.params.is_empty() || !other.params.is_empty() {
-            return true;
-        }
-        self.globals.intersection(&other.globals).next().is_some()
-    }
-}
-
-impl fmt::Display for RegionSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return write!(f, "∅");
-        }
-        let mut first = true;
-        let mut item = |f: &mut fmt::Formatter<'_>, s: String| -> fmt::Result {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{s}")
-        };
-        write!(f, "{{")?;
-        for g in &self.globals {
-            item(f, g.to_string())?;
-        }
-        for p in &self.params {
-            item(f, format!("*p{p}"))?;
-        }
-        if self.unknown {
-            item(f, "?".to_string())?;
-        }
-        write!(f, "}}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Effect summaries
-// ---------------------------------------------------------------------------
-
-/// Memory and observability effects of a single instruction, with callee
-/// summaries already folded in for calls.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct InstEffect {
-    /// Regions the instruction may read.
-    pub reads: RegionSet,
-    /// Regions the instruction may write.
-    pub writes: RegionSet,
-    /// True if the instruction issues a non-temporal (prefetch-like) load.
-    pub prefetch: bool,
-    /// True if the instruction publishes an application metric.
-    pub report: bool,
-    /// True if the instruction may park the process.
-    pub wait: bool,
-}
-
-/// Transitive memory and observability effects of one function.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FuncEffects {
-    /// Regions the function (or anything it calls) may read.
-    pub reads: RegionSet,
-    /// Regions the function (or anything it calls) may write.
-    pub writes: RegionSet,
-    /// Regions touched by non-temporal loads, transitively.
-    pub prefetches: RegionSet,
-    /// True if any reachable instruction publishes an application metric.
-    pub reports: bool,
-    /// True if any reachable instruction may park the process.
-    pub waits: bool,
-}
-
-/// Maps a callee-side region set into the caller's frame: parameter
-/// regions are replaced by the classes of the actual arguments.
-fn instantiate(r: &RegionSet, arg_classes: &[PtClass]) -> RegionSet {
-    let mut out = RegionSet {
-        globals: r.globals.clone(),
-        params: BTreeSet::new(),
-        unknown: r.unknown,
-    };
-    for &p in &r.params {
-        match arg_classes.get(p as usize) {
-            Some(c) => out.insert_class(*c),
-            None => out.unknown = true,
-        }
-    }
-    out
-}
-
-/// Whole-module effects: per-function transitive summaries plus the
-/// per-register points-to classes they were computed from.
+/// Whole-module effect bits: per function, whether anything it may
+/// execute (itself or a transitive callee) stores, and whether anything
+/// it may execute stores, publishes a metric, or parks in `wait`.
 #[derive(Clone, Debug)]
 pub struct ModuleEffects {
-    funcs: Vec<FuncEffects>,
-    classes: Vec<Vec<PtClass>>,
+    store_free: Vec<bool>,
+    pure: Vec<bool>,
 }
 
 impl ModuleEffects {
-    /// Analyzes every function of `module` to a fixed point over the call
-    /// graph (recursion converges because the region lattice is finite).
+    /// Computes both bits for every function of `module` as a greatest
+    /// fixpoint over the call graph: a bit starts set wherever the body
+    /// itself has no offending instruction, and is cleared while any
+    /// callee's bit is clear. Recursion therefore keeps a bit exactly when
+    /// no offending instruction is reachable through the cycle. A callee
+    /// outside the module clears both bits.
     pub fn analyze(module: &Module) -> ModuleEffects {
-        let classes: Vec<Vec<PtClass>> = module.functions().iter().map(reg_classes).collect();
-        let locals: Vec<FuncEffects> = module
-            .functions()
-            .iter()
-            .zip(&classes)
-            .map(|(f, cls)| local_effects(f, cls))
-            .collect();
-        let mut funcs = locals.clone();
-        loop {
-            let mut changed = false;
-            for (fi, func) in module.functions().iter().enumerate() {
-                let mut acc = locals[fi].clone();
-                for block in func.blocks() {
-                    for inst in &block.insts {
-                        if let Inst::Call { callee, args, .. } = inst {
-                            let arg_classes: Vec<PtClass> =
-                                args.iter().map(|r| classes[fi][r.index()]).collect();
-                            let cs = &funcs[callee.index()];
-                            acc.reads.union_with(&instantiate(&cs.reads, &arg_classes));
-                            acc.writes
-                                .union_with(&instantiate(&cs.writes, &arg_classes));
-                            acc.prefetches
-                                .union_with(&instantiate(&cs.prefetches, &arg_classes));
-                            acc.reports |= cs.reports;
-                            acc.waits |= cs.waits;
-                        }
+        let funcs = module.functions();
+        let mut store_free = vec![true; funcs.len()];
+        let mut pure = vec![true; funcs.len()];
+        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); funcs.len()];
+        for (fi, func) in funcs.iter().enumerate() {
+            for inst in func.blocks().iter().flat_map(|b| &b.insts) {
+                match inst {
+                    Inst::Store { .. } => {
+                        store_free[fi] = false;
+                        pure[fi] = false;
                     }
+                    Inst::Report { .. } | Inst::Wait => pure[fi] = false,
+                    Inst::Call { callee, .. } => callees[fi].push(callee.index()),
+                    _ => {}
                 }
-                if acc != funcs[fi] {
-                    funcs[fi] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return ModuleEffects { funcs, classes };
             }
         }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (fi, cs) in callees.iter().enumerate() {
+                for &c in cs {
+                    let (c_store_free, c_pure) = match store_free.get(c) {
+                        Some(&s) => (s, pure[c]),
+                        None => (false, false),
+                    };
+                    if store_free[fi] && !c_store_free {
+                        store_free[fi] = false;
+                        changed = true;
+                    }
+                    if pure[fi] && !c_pure {
+                        pure[fi] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        ModuleEffects { store_free, pure }
     }
 
-    /// The transitive summary of `func`.
-    pub fn func(&self, func: FuncId) -> &FuncEffects {
-        &self.funcs[func.index()]
-    }
-
-    /// The points-to classes of `func`'s registers.
-    pub fn classes(&self, func: FuncId) -> &[PtClass] {
-        &self.classes[func.index()]
-    }
-
-    /// True if `func` (transitively) executes no store at all. This only
-    /// depends on the *presence* of stores, not on how their addresses
-    /// were classified, so it is sound even where the class lattice is
-    /// imprecise.
+    /// True if `func` (transitively) executes no store at all.
     pub fn writes_nothing(&self, func: FuncId) -> bool {
-        self.funcs[func.index()].writes.is_empty()
+        self.store_free[func.index()]
     }
 
     /// True if calling `func` is invisible to memory, the OS, and the
     /// application-metric channels (it may still read memory and warm
     /// caches).
     pub fn observably_pure(&self, func: FuncId) -> bool {
-        let e = &self.funcs[func.index()];
-        e.writes.is_empty() && !e.reports && !e.waits
+        self.pure[func.index()]
     }
-
-    /// The effect of one instruction of `func`, folding in the callee's
-    /// transitive summary for calls.
-    pub fn inst_effect(&self, func: FuncId, inst: &Inst) -> InstEffect {
-        let cls = &self.classes[func.index()];
-        let mut e = InstEffect::default();
-        match inst {
-            Inst::Load { base, locality, .. } => {
-                e.reads.insert_class(cls[base.index()]);
-                e.prefetch = locality.is_non_temporal();
-            }
-            Inst::Store { base, .. } => e.writes.insert_class(cls[base.index()]),
-            Inst::Call { callee, args, .. } => {
-                let arg_classes: Vec<PtClass> = args.iter().map(|r| cls[r.index()]).collect();
-                let cs = &self.funcs[callee.index()];
-                e.reads = instantiate(&cs.reads, &arg_classes);
-                e.writes = instantiate(&cs.writes, &arg_classes);
-                e.prefetch = !cs.prefetches.is_empty();
-                e.report = cs.reports;
-                e.wait = cs.waits;
-            }
-            Inst::Report { .. } => e.report = true,
-            Inst::Wait => e.wait = true,
-            _ => {}
-        }
-        e
-    }
-}
-
-/// Effects of `func`'s own instructions, calls excluded.
-fn local_effects(func: &Function, cls: &[PtClass]) -> FuncEffects {
-    let mut e = FuncEffects::default();
-    for block in func.blocks() {
-        for inst in &block.insts {
-            match inst {
-                Inst::Load { base, locality, .. } => {
-                    e.reads.insert_class(cls[base.index()]);
-                    if locality.is_non_temporal() {
-                        e.prefetches.insert_class(cls[base.index()]);
-                    }
-                }
-                Inst::Store { base, .. } => e.writes.insert_class(cls[base.index()]),
-                Inst::Report { .. } => e.reports = true,
-                Inst::Wait => e.waits = true,
-                _ => {}
-            }
-        }
-    }
-    e
 }
 
 #[cfg(test)]
@@ -472,54 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn region_overlap_is_conservative() {
-        let mut a = RegionSet::new();
-        a.insert_class(PtClass::Global(GlobalId(0)));
-        let mut b = RegionSet::new();
-        b.insert_class(PtClass::Global(GlobalId(1)));
-        assert!(!a.may_overlap(&b), "distinct globals are disjoint");
-        let mut c = RegionSet::new();
-        c.insert_class(PtClass::Param(0));
-        assert!(a.may_overlap(&c), "params may alias any global");
-        let empty = RegionSet::new();
-        assert!(!a.may_overlap(&empty));
-        let mut u = RegionSet::new();
-        u.insert_class(PtClass::Unknown);
-        assert!(a.may_overlap(&u));
-        assert_eq!(format!("{a}"), "{g0}");
-    }
-
-    #[test]
-    fn summaries_propagate_through_calls_with_substitution() {
-        let mut m = Module::new("m");
-        let g = m.add_global("tbl", 64);
-        // sink(p0): stores through its parameter.
-        let mut sink = FunctionBuilder::new("sink", 1);
-        let p = sink.param(0);
-        let z = sink.const_(1);
-        sink.store(p, 0, z);
-        sink.ret(None);
-        let sink_id = m.add_function(sink.finish());
-        // caller(): passes &tbl to sink.
-        let mut caller = FunctionBuilder::new("caller", 0);
-        let base = caller.global_addr(g);
-        caller.call_void(sink_id, &[base]);
-        caller.ret(None);
-        let caller_id = m.add_function(caller.finish());
-        let me = ModuleEffects::analyze(&m);
-        // sink writes through its param; the caller's instantiated summary
-        // names the global.
-        assert!(me.func(sink_id).writes.may_touch_global(g));
-        assert!(!me.writes_nothing(caller_id));
-        assert!(me.func(caller_id).writes.may_touch_global(g));
-        assert!(
-            !me.func(caller_id).writes.has_unknown(),
-            "substitution should stay precise: {}",
-            me.func(caller_id).writes
-        );
-    }
-
-    #[test]
     fn observable_purity_and_flags() {
         let mut m = Module::new("m");
         let mut pure = FunctionBuilder::new("pure", 1);
@@ -537,36 +279,6 @@ mod tests {
         assert!(me.observably_pure(pure_id));
         assert!(me.writes_nothing(noisy_id));
         assert!(!me.observably_pure(noisy_id), "reports are observable");
-        assert!(me.func(noisy_id).reports);
-    }
-
-    #[test]
-    fn inst_effect_classifies_store_and_nt_load() {
-        let mut m = Module::new("m");
-        let g = m.add_global("buf", 128);
-        let mut f = FunctionBuilder::new("f", 0);
-        let base = f.global_addr(g);
-        let v = f.load(base, 8, Locality::NonTemporal);
-        f.store(base, 0, v);
-        f.ret(None);
-        let fid = m.add_function(f.finish());
-        let me = ModuleEffects::analyze(&m);
-        let func = m.function(fid);
-        let mut saw_store = false;
-        let mut saw_nt = false;
-        for inst in &func.blocks()[0].insts {
-            let e = me.inst_effect(fid, inst);
-            if matches!(inst, Inst::Store { .. }) {
-                saw_store = true;
-                assert!(e.writes.may_touch_global(g));
-                assert!(e.reads.is_empty());
-            }
-            if inst.is_load() {
-                saw_nt |= e.prefetch;
-                assert!(e.reads.may_touch_global(g));
-            }
-        }
-        assert!(saw_store && saw_nt);
     }
 
     #[test]
@@ -582,7 +294,64 @@ mod tests {
         f.ret(None);
         let fid = m.add_function(f.finish());
         let me = ModuleEffects::analyze(&m);
-        assert!(me.func(fid).writes.may_touch_global(g));
+        assert!(!me.writes_nothing(fid));
         assert!(!me.observably_pure(fid));
+    }
+
+    #[test]
+    fn self_recursion_without_stores_is_store_free() {
+        let mut m = Module::new("m");
+        let mut f = FunctionBuilder::new("rec", 1);
+        let p = f.param(0);
+        let q = f.add_imm(p, -1);
+        let _ = f.call(crate::FuncId(0), &[q]);
+        f.ret(None);
+        let fid = m.add_function(f.finish());
+        let me = ModuleEffects::analyze(&m);
+        assert!(me.writes_nothing(fid), "the cycle reaches no store");
+        assert!(me.observably_pure(fid));
+    }
+
+    #[test]
+    fn a_store_in_a_mutually_recursive_pair_taints_both() {
+        let mut m = Module::new("m");
+        let g = m.add_global("acc", 8);
+        // even() calls odd(); odd() stores and calls even().
+        let mut even = FunctionBuilder::new("even", 0);
+        even.call_void(crate::FuncId(1), &[]);
+        even.ret(None);
+        let even_id = m.add_function(even.finish());
+        let mut odd = FunctionBuilder::new("odd", 0);
+        let base = odd.global_addr(g);
+        let z = odd.const_(0);
+        odd.store(base, 0, z);
+        odd.call_void(even_id, &[]);
+        odd.ret(None);
+        let odd_id = m.add_function(odd.finish());
+        let me = ModuleEffects::analyze(&m);
+        for fid in [even_id, odd_id] {
+            assert!(!me.writes_nothing(fid), "{fid} reaches odd's store");
+            assert!(!me.observably_pure(fid));
+        }
+    }
+
+    #[test]
+    fn calling_a_report_only_callee_is_store_free_but_not_pure() {
+        let mut m = Module::new("m");
+        let mut noisy = FunctionBuilder::new("noisy", 0);
+        let c = noisy.const_(1);
+        noisy.report(0, c);
+        noisy.ret(None);
+        let noisy_id = m.add_function(noisy.finish());
+        let mut caller = FunctionBuilder::new("caller", 0);
+        caller.call_void(noisy_id, &[]);
+        caller.ret(None);
+        let caller_id = m.add_function(caller.finish());
+        let me = ModuleEffects::analyze(&m);
+        assert!(me.writes_nothing(caller_id));
+        assert!(
+            !me.observably_pure(caller_id),
+            "the callee's report is observable"
+        );
     }
 }

@@ -18,10 +18,11 @@
 //!   per equality class), and revisits only check that the recorded
 //!   partition still holds — the classic cut-point argument, without
 //!   widening.
-//! * **A symbolic store buffer** with [`crate::effects`]-backed and
-//!   base+offset disjointness reasoning, so store-to-load forwarding and
-//!   provably separate accesses normalize while may-aliasing accesses
-//!   conservatively block.
+//! * **A symbolic store buffer** with base+offset (and, optionally,
+//!   absint interval) disjointness reasoning, so store-to-load forwarding
+//!   and provably separate accesses normalize while may-aliasing accesses
+//!   conservatively block. A call clobbers the buffer unless
+//!   [`crate::effects`] shows the callee executes no store.
 //! * **Observable events** (stores, calls, metric reports, `wait`) are
 //!   compared in order; load locality bits are *excluded* from events and
 //!   instead counted, yielding verdicts "proved modulo N non-temporal-hint
@@ -625,9 +626,10 @@ struct SideRun {
     flow: Flow,
 }
 
-/// Per-module context shared by all function pairs of one check. It owns
-/// the module's analyses: effects are computed up front, abstract states
-/// per function on first use.
+/// Per-module context shared by all function pairs of one check, or by
+/// all headers of one [`prove_osr_transfers`] batch. It owns the module's
+/// analyses: effect bits are computed up front, abstract states per
+/// function on first use.
 struct ModuleCx<'m> {
     module: &'m Module,
     effects: ModuleEffects,
@@ -1750,6 +1752,38 @@ pub fn prove_osr_transfer(
     cert: &absint::OsrCertificate,
     opts: &EquivOptions,
 ) -> TransferVerdict {
+    with_cxs(baseline, variant, |cx_b, cx_v| {
+        prove_osr_transfer_cx(cx_b, cx_v, fid, cert, opts)
+    })
+}
+
+/// [`prove_osr_transfer`] for every certificate of `certs` (each against
+/// its own `cert.func`), in order, over one pair of module contexts: the
+/// modules' effect bits and each function's abstract states are derived
+/// once and shared by every proof, so proving all of a module's headers
+/// costs one context pair instead of one per header.
+pub fn prove_osr_transfers(
+    baseline: &Module,
+    variant: &Module,
+    certs: &[absint::OsrCertificate],
+    opts: &EquivOptions,
+) -> Vec<TransferVerdict> {
+    with_cxs(baseline, variant, |cx_b, cx_v| {
+        certs
+            .iter()
+            .map(|cert| prove_osr_transfer_cx(cx_b, cx_v, cert.func, cert, opts))
+            .collect()
+    })
+}
+
+fn prove_osr_transfer_cx(
+    cx_b: &ModuleCx<'_>,
+    cx_v: &ModuleCx<'_>,
+    fid: FuncId,
+    cert: &absint::OsrCertificate,
+    opts: &EquivOptions,
+) -> TransferVerdict {
+    let (baseline, variant) = (cx_b.module, cx_v.module);
     if fid.index() >= baseline.functions().len() || fid.index() >= variant.functions().len() {
         return TransferVerdict::Unproved {
             reason: TransferRefusal::Malformed {
@@ -1781,7 +1815,7 @@ pub fn prove_osr_transfer(
         moves: pair.live.iter().map(|&(b, v)| (v, b)).collect(),
         consts: Vec::new(),
     };
-    validate_osr_transfer(baseline, variant, fid, cert, &recipe, opts)
+    validate_osr_transfer_cx(cx_b, cx_v, fid, cert, &recipe, opts)
 }
 
 /// Proves (or refutes, or gives up on) one explicit recipe — the
@@ -1797,6 +1831,20 @@ pub fn validate_osr_transfer(
     recipe: &TransferRecipe,
     opts: &EquivOptions,
 ) -> TransferVerdict {
+    with_cxs(baseline, variant, |cx_b, cx_v| {
+        validate_osr_transfer_cx(cx_b, cx_v, fid, cert, recipe, opts)
+    })
+}
+
+fn validate_osr_transfer_cx(
+    cx_b: &ModuleCx<'_>,
+    cx_v: &ModuleCx<'_>,
+    fid: FuncId,
+    cert: &absint::OsrCertificate,
+    recipe: &TransferRecipe,
+    opts: &EquivOptions,
+) -> TransferVerdict {
+    let (baseline, variant) = (cx_b.module, cx_v.module);
     let malformed = |detail: String| TransferVerdict::Unproved {
         reason: TransferRefusal::Malformed { detail },
     };
@@ -1871,9 +1919,7 @@ pub fn validate_osr_transfer(
         moves: &recipe.moves,
         consts: &recipe.consts,
     };
-    match with_cxs(baseline, variant, |cx_b, cx_v| {
-        run_bisim_from(cx_b, cx_v, fid, opts, &start)
-    }) {
+    match run_bisim_from(cx_b, cx_v, fid, opts, &start) {
         Outcome::Proved { nt_flips } => TransferVerdict::Proved {
             recipe: recipe.clone(),
             nt_flips,

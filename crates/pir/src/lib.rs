@@ -83,11 +83,11 @@ pub use absint::{
 };
 pub use analysis::{load_sites, LoadSite};
 pub use builder::FunctionBuilder;
-pub use effects::{FuncEffects, ModuleEffects, PtClass, RegionSet};
+pub use effects::{ModuleEffects, PtClass};
 pub use equiv::{
     check_function_in, check_module, interval_disjoint_facts, prove_osr_transfer,
-    validate_osr_transfer, Counterexample, EquivOptions, EquivReport, TransferRecipe,
-    TransferRefusal, TransferVerdict, Verdict,
+    prove_osr_transfers, validate_osr_transfer, Counterexample, EquivOptions, EquivReport,
+    TransferRecipe, TransferRefusal, TransferVerdict, Verdict,
 };
 pub use ids::{BlockId, FuncId, GlobalId, LoadSiteId, Reg};
 pub use inst::{BinOp, Inst, Locality, Term};

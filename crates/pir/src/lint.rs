@@ -16,16 +16,19 @@
 //! | `never-virtualizable-call` | warning | call edges the default multi-block-callees edge policy never routes through the EVT, so PC3D cannot retarget them online |
 //! | `unknown-address-store`    | warning | stores through a base the [`effects`](crate::effects) points-to analysis cannot bound, which forces every downstream alias query conservative |
 //! | `likely-divergent-loop`    | warning | natural loops with no feasible exit (per the [`absint`](crate::absint) abstract states) and no observable effect — no store, report, call with effects, or `wait` — which spin forever without anyone noticing |
-//! | `osr-header-unprovable`    | warning | loop headers that carry an OSR certificate but whose live-state transfer the cut-point prover ([`equiv::prove_osr_transfer`](crate::equiv::prove_osr_transfer)) cannot certify even against the function itself — the runtime will never switch variants mid-loop there |
+//! | `osr-header-unprovable`    | warning | loop headers that carry an OSR certificate but whose live-state transfer the cut-point prover ([`equiv::prove_osr_transfer`]) cannot certify even against the function itself — the runtime will never switch variants mid-loop there |
 //!
 //! The suite is cheap (one CFG + two dataflow solves per function, plus
-//! one transfer proof per OSR-certified header) and can be rerun between
-//! transformation stages.
+//! one transfer proof per OSR-certified header, all of a module's proofs
+//! sharing one prover context) and can be rerun between transformation
+//! stages.
 
 use std::fmt;
 
+use crate::absint::{OsrCertificate, OsrDecision};
 use crate::dataflow::{self, Cfg, Liveness};
 use crate::effects::ModuleEffects;
+use crate::equiv::{self, EquivOptions, TransferVerdict};
 use crate::ids::{BlockId, FuncId};
 use crate::inst::{Inst, Locality};
 use crate::loops;
@@ -425,19 +428,11 @@ fn lint_likely_divergent_loops(
 /// a variant in mid-loop there, so the hottest loops silently fall back
 /// to function-boundary dispatch. The refusal reason is typed
 /// ([`crate::equiv::TransferRefusal`]) and quoted verbatim.
-fn lint_osr_header_unprovable(cx: &FuncCx<'_>, module: &Module, out: &mut Vec<Diagnostic>) {
-    use crate::equiv::{self, TransferVerdict};
-    for dec in crate::absint::certify_function(module, cx.fid) {
-        let Some(cert) = dec.certificate() else {
-            continue;
-        };
-        let verdict = equiv::prove_osr_transfer(
-            module,
-            module,
-            cx.fid,
-            cert,
-            &equiv::EquivOptions::default(),
-        );
+///
+/// `osr` pairs certificates with their self-transfer verdicts; only the
+/// pairs for `cx.fid` are reported.
+fn lint_osr_header_unprovable(cx: &FuncCx<'_>, osr: &[OsrProof], out: &mut Vec<Diagnostic>) {
+    for (cert, verdict) in osr.iter().filter(|(cert, _)| cert.func == cx.fid) {
         let why = match verdict {
             TransferVerdict::Proved { .. } => continue,
             TransferVerdict::Refuted(cex) => format!("self-transfer refuted: {cex}"),
@@ -458,14 +453,34 @@ fn lint_osr_header_unprovable(cx: &FuncCx<'_>, module: &Module, out: &mut Vec<Di
     }
 }
 
-/// Runs every lint pass over one function of `module`.
-pub fn lint_function(module: &Module, fid: FuncId) -> Vec<Diagnostic> {
-    lint_function_with(module, fid, &ModuleEffects::analyze(module))
+/// An OSR certificate with the verdict of its identity transfer proof.
+type OsrProof = (OsrCertificate, TransferVerdict);
+
+/// Proves the identity transfer of every certificate among `decisions`,
+/// all against one pair of module contexts.
+fn prove_self_transfers(module: &Module, decisions: Vec<OsrDecision>) -> Vec<OsrProof> {
+    let certs: Vec<OsrCertificate> = decisions
+        .into_iter()
+        .filter_map(|d| d.certificate().cloned())
+        .collect();
+    let verdicts = equiv::prove_osr_transfers(module, module, &certs, &EquivOptions::default());
+    certs.into_iter().zip(verdicts).collect()
 }
 
-/// [`lint_function`] with the module's effect summaries supplied by the
-/// caller, so a whole-module lint computes them once.
-fn lint_function_with(module: &Module, fid: FuncId, fx: &ModuleEffects) -> Vec<Diagnostic> {
+/// Runs every lint pass over one function of `module`.
+pub fn lint_function(module: &Module, fid: FuncId) -> Vec<Diagnostic> {
+    let osr = prove_self_transfers(module, crate::absint::certify_function(module, fid));
+    lint_function_with(module, fid, &ModuleEffects::analyze(module), &osr)
+}
+
+/// [`lint_function`] with the module's effect bits and OSR proofs
+/// supplied by the caller, so a whole-module lint derives them once.
+fn lint_function_with(
+    module: &Module,
+    fid: FuncId,
+    fx: &ModuleEffects,
+    osr: &[OsrProof],
+) -> Vec<Diagnostic> {
     let func = module.function(fid);
     let cx = FuncCx {
         func,
@@ -480,7 +495,7 @@ fn lint_function_with(module: &Module, fid: FuncId, fx: &ModuleEffects) -> Vec<D
     lint_never_virtualizable_calls(&cx, module, &mut out);
     lint_unknown_address_stores(&cx, &mut out);
     lint_likely_divergent_loops(&cx, module, fx, &mut out);
-    lint_osr_header_unprovable(&cx, module, &mut out);
+    lint_osr_header_unprovable(&cx, osr, &mut out);
     out
 }
 
@@ -491,9 +506,10 @@ fn lint_function_with(module: &Module, fid: FuncId, fx: &ModuleEffects) -> Vec<D
 /// cannot analyze) but give their best diagnostics on verified IR.
 pub fn lint_module(module: &Module) -> LintReport {
     let fx = ModuleEffects::analyze(module);
+    let osr = prove_self_transfers(module, crate::absint::certify_module(module));
     let mut diags = Vec::new();
     for fid in 0..module.functions().len() {
-        diags.extend(lint_function_with(module, FuncId(fid as u32), &fx));
+        diags.extend(lint_function_with(module, FuncId(fid as u32), &fx, &osr));
     }
     LintReport { diags }
 }

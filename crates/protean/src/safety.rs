@@ -202,9 +202,10 @@ impl OsrTransferSummary {
 ///    the annex apply verbatim — block ids and registers coincide, and
 ///    locality is semantically inert — so embedded recipes for the
 ///    function's headers are inherited without symbolic work.
-/// 2. Otherwise each certificate is handed to the prover against the
-///    variant spliced into a copy of the module; only
-///    [`TransferVerdict::Proved`] yields a recipe.
+/// 2. Otherwise the remaining certificates are handed to the prover in
+///    one batch ([`pir::prove_osr_transfers`]) against the variant
+///    spliced into a copy of the module; only [`TransferVerdict::Proved`]
+///    yields a recipe.
 ///
 /// Headers without a proved recipe are *not* an error: they only mean
 /// the runtime must wait for a function-boundary dispatch there.
@@ -222,23 +223,32 @@ pub fn vet_osr_transfers(
     }
     let baseline = module.function(func);
     let shape_identical = same_modulo_locality(baseline, variant).is_ok();
-    let mut vmod = None;
+    let inherit = |cert: &OsrCertificate| {
+        embedded
+            .iter()
+            .find(|r| shape_identical && r.func == func && r.baseline_header == cert.header)
+    };
+    // Every header without an inherited recipe is proved in one batch
+    // against the variant spliced into a copy of the module.
+    let to_prove: Vec<OsrCertificate> = relevant
+        .iter()
+        .filter(|cert| inherit(cert).is_none())
+        .map(|cert| (*cert).clone())
+        .collect();
+    let mut proved = if to_prove.is_empty() {
+        Vec::new()
+    } else {
+        let mut vmod = module.clone();
+        vmod.functions_mut()[func.index()] = variant.clone();
+        pir::prove_osr_transfers(module, &vmod, &to_prove, &EquivOptions::default())
+    }
+    .into_iter();
     for cert in relevant {
-        if shape_identical {
-            if let Some(recipe) = embedded
-                .iter()
-                .find(|r| r.func == func && r.baseline_header == cert.header)
-            {
-                summary.recipes.push(recipe.clone());
-                continue;
-            }
+        if let Some(recipe) = inherit(cert) {
+            summary.recipes.push(recipe.clone());
+            continue;
         }
-        let vmod = vmod.get_or_insert_with(|| {
-            let mut m = module.clone();
-            m.functions_mut()[func.index()] = variant.clone();
-            m
-        });
-        match pir::prove_osr_transfer(module, vmod, func, cert, &EquivOptions::default()) {
+        match proved.next().expect("one verdict per proved certificate") {
             TransferVerdict::Proved { recipe, .. } => summary.recipes.push(recipe),
             TransferVerdict::Refuted(cex) => {
                 summary.refuted += 1;

@@ -12,15 +12,19 @@
 //! * **Cleanliness of the shipped programs** — every pristine catalog
 //!   program lints free of error-severity diagnostics, so the lint layer
 //!   can run over real modules without false alarms. Whole-module lint
-//!   (which computes effect summaries once) reports exactly what linting
-//!   each function on its own does.
+//!   (which computes effect bits and OSR proofs once) reports exactly
+//!   what linting each function on its own does.
+//!
+//! The effect bits the lint and the equivalence checker read are also
+//! checked on every catalog function against a brute-force search of
+//! the call graph.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use pir::verify::verify_module;
-use pir::{lint, BlockId, FuncId, GlobalId, Inst, Module, Reg, Term};
+use pir::{lint, BlockId, FuncId, GlobalId, Inst, Module, ModuleEffects, Reg, Term};
 use workloads::catalog;
 
 const LLC_LINES: u64 = 16_384;
@@ -198,4 +202,53 @@ fn module_lint_equals_per_function_lint_on_catalog() {
             w.name
         );
     }
+}
+
+/// True if an instruction matching `hit` is reachable from `root`, in
+/// its own body or through any chain of calls (a plain DFS over the call
+/// graph).
+fn reaches(m: &Module, root: FuncId, hit: impl Fn(&Inst) -> bool) -> bool {
+    let mut seen = vec![false; m.functions().len()];
+    let mut stack = vec![root];
+    while let Some(f) = stack.pop() {
+        if std::mem::replace(&mut seen[f.index()], true) {
+            continue;
+        }
+        for inst in m.function(f).blocks().iter().flat_map(|b| &b.insts) {
+            if hit(inst) {
+                return true;
+            }
+            if let Inst::Call { callee, .. } = inst {
+                stack.push(*callee);
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn effect_bits_equal_call_graph_reachability_on_catalog() {
+    let (mut store_free, mut pure, mut total) = (0, 0, 0);
+    for w in catalog::CATALOG {
+        let m = catalog::build(w.name, LLC_LINES).expect("catalog workload");
+        let fx = ModuleEffects::analyze(&m);
+        for f in 0..m.functions().len() {
+            let fid = FuncId(f as u32);
+            let stores = reaches(&m, fid, |i| matches!(i, Inst::Store { .. }));
+            let observable = reaches(&m, fid, |i| {
+                matches!(i, Inst::Store { .. } | Inst::Report { .. } | Inst::Wait)
+            });
+            assert_eq!(fx.writes_nothing(fid), !stores, "{}: {fid}", w.name);
+            assert_eq!(fx.observably_pure(fid), !observable, "{}: {fid}", w.name);
+            store_free += usize::from(!stores);
+            pure += usize::from(!observable);
+            total += 1;
+        }
+    }
+    // Each bit must be set somewhere and clear somewhere, or the check is
+    // vacuous (pure implies store-free, so two bounds cover both bits).
+    assert!(
+        0 < pure && store_free < total,
+        "{pure} pure, {store_free} store-free of {total}"
+    );
 }

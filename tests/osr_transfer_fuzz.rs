@@ -24,6 +24,7 @@
 //! module rendered with absint + OSR annotations and the recipe under
 //! test appended.
 
+use pcc::NtAssignment;
 use pir::absint::{self, OsrCertificate};
 use pir::equiv::{EquivOptions, TransferRecipe, TransferVerdict};
 use pir::interp::{self, InterpError, OsrTransferSpec};
@@ -237,6 +238,43 @@ fn proved_recipes_cover_most_certified_headers() {
     assert!(
         proved * 10 >= certified * 6,
         "only {proved}/{certified} certified headers proved a transfer recipe"
+    );
+}
+
+/// [`pir::prove_osr_transfers`] proves a module's headers over one
+/// shared context pair; it must decide every header exactly as one
+/// [`pir::prove_osr_transfer`] call per header does — into the module
+/// itself and into a variant with one function's loads re-hinted.
+#[test]
+fn batch_proofs_equal_single_proofs_on_the_catalog() {
+    let corpus = corpus();
+    let opts = EquivOptions::default();
+    let compared = protean_bench::pool::map(&corpus, |_, (name, m)| {
+        let certs = certs_of(m);
+        let Some(fid) = certs.first().map(|c| c.func) else {
+            return 0;
+        };
+        // Every other load site of the first certified function hinted.
+        let hints: NtAssignment = pir::analysis::function_load_sites(m.function(fid), fid)
+            .iter()
+            .step_by(2)
+            .map(|s| s.site)
+            .collect();
+        let mut nt = m.clone();
+        nt.functions_mut()[fid.index()] = hints.apply_to(m.function(fid), fid);
+        for (label, v) in [("self", m), ("nt", &nt)] {
+            let batch = pir::prove_osr_transfers(m, v, &certs, &opts);
+            let single: Vec<TransferVerdict> = certs
+                .iter()
+                .map(|c| pir::prove_osr_transfer(m, v, c.func, c, &opts))
+                .collect();
+            assert_eq!(batch, single, "{name}: {label} variant");
+        }
+        certs.len()
+    });
+    assert!(
+        compared.iter().sum::<usize>() > 0,
+        "catalog has no certified headers?"
     );
 }
 
