@@ -10,13 +10,14 @@
 //! cycle-accurate: each active server owns a [`simos::Os`] box advanced
 //! to each epoch boundary.
 //!
-//! Parallelism never touches determinism: between two events the active
-//! servers' boxes are independent (they share no state), so the epoch
-//! advance fans them out through a pluggable [`SliceExec`] and puts the
-//! results back in server-id order. The serial executor and a
-//! work-stealing pool produce bit-identical clusters. Everything
-//! nondeterministic-looking (placement randomness, bursty load) draws
-//! from seeded generators inside the serial event loop.
+//! Parallelism never touches determinism: between two events the
+//! servers' boxes are independent (they share no state), so both the
+//! epoch advance and the load-step catch-up fan them out through a
+//! pluggable [`SliceExec`] and put the results back in server-id
+//! order. The serial executor and a work-stealing pool produce
+//! bit-identical clusters. Everything nondeterministic-looking
+//! (placement randomness, bursty load) draws from seeded generators
+//! inside the serial event loop.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -127,18 +128,22 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A parcel of work for the epoch fan-out: advance one server's box to
-/// the epoch boundary. Self-contained and independent of every other
-/// job in the batch, so executors may run them in any order.
+/// A parcel of work for the fan-out: step one server's box to a cluster
+/// time — an epoch advance at a barrier, or a catch-up at a load step.
+/// Self-contained and independent of every other job in the batch, so
+/// executors may run them in any order.
 pub struct SliceJob {
     server: Server,
     target: Cycles,
+    /// `Server::advance_to` for epochs, `Server::reconcile` for
+    /// load-step catch-ups.
+    step: fn(&mut Server, Cycles),
 }
 
 impl SliceJob {
-    /// Runs the slice to completion, returning the advanced server.
+    /// Runs the slice to completion, returning the stepped server.
     pub fn run(mut self) -> Server {
-        self.server.advance_to(self.target);
+        (self.step)(&mut self.server, self.target);
         self.server
     }
 }
@@ -269,7 +274,7 @@ enum Ev {
 /// (custom executor).
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// Server slots; `None` while a server is out being advanced.
+    /// Server slots; `None` while a server is out being stepped.
     servers: Vec<Option<Server>>,
     /// Balancer intent per server.
     desired_active: Vec<bool>,
@@ -382,7 +387,8 @@ impl Cluster {
         self.run_with(&serial_exec())
     }
 
-    /// Runs the simulation, fanning epoch advances out through `exec`.
+    /// Runs the simulation, fanning every box step (epoch advances and
+    /// load-step catch-ups) out through `exec`.
     pub fn run_with(mut self, exec: &SliceExec) -> ClusterResult {
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let cps = server_machine().cycles_per_second as f64;
@@ -428,7 +434,7 @@ impl Cluster {
             self.metrics.inc("datacenter.events");
             match ev.payload {
                 Ev::LoadStep { group } => {
-                    self.rebalance(group, now);
+                    self.rebalance(group, now, exec);
                     self.ensure_epoch(&mut queue, now);
                 }
                 Ev::JobArrival { group } => {
@@ -488,15 +494,16 @@ impl Cluster {
 
     /// Starts a batch stream/job on server `si`.
     fn start_batch_on(&mut self, si: usize, now: Cycles, app: &str, quota: Option<u64>) {
-        let ls_image = self.images[self.cfg.groups[self.server(si).group()].ls_app].clone();
-        let batch_image = self.images[app].clone();
-        self.server_mut(si)
-            .start_batch(now, &ls_image, &batch_image, app, quota);
+        let server = self.servers[si].as_mut().expect("server checked in");
+        let ls_image = &self.images[self.cfg.groups[server.group()].ls_app];
+        server.start_batch(now, ls_image, &self.images[app], app, quota);
     }
 
     /// Re-plans one group at a shape boundary: picks the active-set size
-    /// from measured capacity and divides load evenly.
-    fn rebalance(&mut self, group: usize, now: Cycles) {
+    /// from measured capacity and divides load evenly. The provisioned
+    /// servers it keeps are first caught up to `now` through `exec`, so
+    /// activation below never steps a box on this thread.
+    fn rebalance(&mut self, group: usize, now: Cycles, exec: &SliceExec) {
         let cps = server_machine().cycles_per_second as f64;
         let t_secs = now as f64 / cps;
         let g = &self.cfg.groups[group];
@@ -511,16 +518,21 @@ impl Cluster {
             total
         };
         let share = if n > 0 { qps / n as f64 } else { 0.0 };
-        let ls_image = self.images[g.ls_app].clone();
+        let catch_up: Vec<usize> = (start..start + n)
+            .filter(|&si| self.server(si).provisioned())
+            .collect();
+        self.step_servers(&catch_up, now, Server::reconcile, exec);
+        let ls_image = &self.images[self.cfg.groups[group].ls_app];
         for si in start..end {
             let want = si - start < n;
             self.desired_active[si] = want;
+            let server = self.servers[si].as_mut().expect("server checked in");
             if want {
-                self.server_mut(si).activate(now, &ls_image);
-                self.server_mut(si).set_ls_qps(share);
+                server.activate(now, ls_image);
+                server.set_ls_qps(share);
             } else {
                 // Stop feeding it; it parks once drained (and batch-free).
-                self.server_mut(si).set_ls_qps(0.0);
+                server.set_ls_qps(0.0);
             }
         }
         self.metrics.add("datacenter.rebalances", 1);
@@ -573,27 +585,39 @@ impl Cluster {
         Some(pick)
     }
 
-    /// Fans all active servers out to `target` through the executor and
-    /// reinstalls them in id order.
-    fn advance_active(&mut self, target: Cycles, exec: &SliceExec) {
-        let mut ids = Vec::new();
-        let mut jobs = Vec::new();
-        for si in 0..self.servers.len() {
-            if self.servers[si].as_ref().is_some_and(Server::is_active) {
-                let server = self.servers[si].take().expect("active server present");
-                ids.push(si);
-                jobs.push(SliceJob { server, target });
-            }
-        }
-        let n_active = jobs.len();
-        let advanced = exec(jobs);
-        assert_eq!(advanced.len(), n_active, "executor must return every slice");
-        for (si, server) in ids.into_iter().zip(advanced) {
+    /// Takes the servers `ids` out, runs `step(server, target)` on each
+    /// through the executor, and reinstalls them in id order.
+    fn step_servers(
+        &mut self,
+        ids: &[usize],
+        target: Cycles,
+        step: fn(&mut Server, Cycles),
+        exec: &SliceExec,
+    ) {
+        let jobs: Vec<SliceJob> = ids
+            .iter()
+            .map(|&si| SliceJob {
+                server: self.servers[si].take().expect("server checked in"),
+                target,
+                step,
+            })
+            .collect();
+        let stepped = exec(jobs);
+        assert_eq!(stepped.len(), ids.len(), "executor must return every slice");
+        for (&si, server) in ids.iter().zip(stepped) {
             assert_eq!(server.id(), si, "executor must preserve input order");
             self.servers[si] = Some(server);
         }
+    }
+
+    /// Fans all active servers out to `target` through the executor.
+    fn advance_active(&mut self, target: Cycles, exec: &SliceExec) {
+        let active: Vec<usize> = (0..self.servers.len())
+            .filter(|&si| self.server(si).is_active())
+            .collect();
+        self.step_servers(&active, target, Server::advance_to, exec);
         self.metrics
-            .record("datacenter.active_servers", n_active as u64);
+            .record("datacenter.active_servers", active.len() as u64);
     }
 
     /// Serial post-epoch bookkeeping: metrics, completions, queued-job

@@ -21,7 +21,7 @@
 //!   of the simulated event streams instead of assumed utilizations.
 //!
 //! Determinism is load-bearing: all cluster decisions happen serially in
-//! event `(time, seq)` order, and the epoch fan-out contract
+//! event `(time, seq)` order, and the box-stepping fan-out contract
 //! ([`cluster::SliceExec`]) requires results back in input order, so a
 //! pinned-seed run is bit-identical whether server boxes advance on one
 //! thread or many. CI diffs a serial run against a parallel one on every

@@ -320,9 +320,13 @@ impl Server {
         self.base = cluster_now;
     }
 
-    /// Brings a parked box's local clock up to `cluster_now`, skipping
-    /// the idle span when provably nothing could run.
-    fn reconcile(&mut self, cluster_now: Cycles) {
+    /// Brings the box's local clock up to `cluster_now`, skipping the
+    /// span when provably nothing could run and stepping it otherwise.
+    /// The cluster calls it for a parked box on reactivation, for every
+    /// kept box at a load step, and at end of run. It steps with raw
+    /// [`Os::advance`], so an active box's PC3D controller does not
+    /// drive a span caught up here.
+    pub(crate) fn reconcile(&mut self, cluster_now: Cycles) {
         let Some(b) = self.box_.as_ref() else {
             return;
         };

@@ -1,14 +1,29 @@
 //! Tier-1 integration checks for the discrete-event datacenter
-//! simulator: a small seeded cluster must be bit-identical whether the
-//! per-server cycle boxes are advanced serially or fanned out across the
-//! experiment thread pool, and the `datacenter.*` metrics must flow into
-//! a `MonitorReport`.
+//! simulator: small seeded clusters must be bit-identical whether the
+//! per-server cycle boxes are stepped serially or fanned out across the
+//! experiment thread pool, load-step catch-ups must reach the executor,
+//! and the `datacenter.*` metrics must flow into a `MonitorReport`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use datacenter::{
-    serial_exec, BatchMode, Cluster, ClusterConfig, ClusterResult, GroupSpec, Placement, QpsShape,
-    MIXES,
+    serial_exec, BatchMode, Cluster, ClusterConfig, ClusterResult, GroupSpec, Mix, Placement,
+    QpsShape, SliceExec, MIXES,
 };
 use protean_bench::dc::pool_exec;
+
+/// Serializes the tests that set `PROTEAN_JOBS`, which is process-wide.
+static JOBS_ENV: Mutex<()> = Mutex::new(());
+
+/// Runs `cfg` on a 4-worker pool.
+fn run_pooled(cfg: ClusterConfig) -> ClusterResult {
+    let _env = JOBS_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("PROTEAN_JOBS", "4");
+    let r = Cluster::new(cfg).run_with(&pool_exec());
+    std::env::remove_var("PROTEAN_JOBS");
+    r
+}
 
 fn config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -71,12 +86,34 @@ fn fingerprint(r: &ClusterResult) -> String {
     s
 }
 
+/// A small diurnal fleet in the shape of the Figs. 17–18 warehouses:
+/// its shapes step every simulated second, on the epoch grid, so every
+/// epoch barrier coincides with a load step.
+fn fleet_config(batch: BatchMode, consolidate: bool) -> ClusterConfig {
+    let group = |ls_app: &'static str, mix: Mix, peak, phase| GroupSpec {
+        name: format!("{ls_app}/{}", mix.name),
+        ls_app,
+        mix,
+        servers: 2,
+        shape: QpsShape::diurnal(8.0, peak, 4.0, 1.0, phase, 1.0),
+    };
+    ClusterConfig {
+        groups: vec![
+            group("web-search", MIXES[0], 40.0, 0.0),
+            group("graph-analytics", MIXES[1], 30.0, 0.5),
+        ],
+        batch,
+        duration_secs: 8.0,
+        consolidate,
+        seed: 5,
+        ..ClusterConfig::default()
+    }
+}
+
 #[test]
 fn cluster_sim_is_bit_identical_serial_vs_pool() {
     let serial = Cluster::new(config(11)).run_with(&serial_exec());
-    std::env::set_var("PROTEAN_JOBS", "4");
-    let pooled = Cluster::new(config(11)).run_with(&pool_exec());
-    std::env::remove_var("PROTEAN_JOBS");
+    let pooled = run_pooled(config(11));
     assert!(
         serial.queries > 100,
         "LS load was served: {}",
@@ -87,6 +124,42 @@ fn cluster_sim_is_bit_identical_serial_vs_pool() {
         fingerprint(&serial),
         fingerprint(&pooled),
         "pool fan-out changed simulation results"
+    );
+}
+
+#[test]
+fn diurnal_fleets_are_bit_identical_serial_vs_pool() {
+    for (batch, consolidate) in [(BatchMode::Pinned, false), (BatchMode::None, true)] {
+        let cfg = fleet_config(batch, consolidate);
+        let serial = Cluster::new(cfg.clone()).run_with(&serial_exec());
+        let pooled = run_pooled(cfg);
+        assert!(serial.queries > 0, "LS load was served: {}", serial.queries);
+        assert_eq!(
+            fingerprint(&serial),
+            fingerprint(&pooled),
+            "pool fan-out changed a diurnal fleet (consolidate={consolidate})"
+        );
+    }
+}
+
+/// Every epoch advance records one `datacenter.active_servers` sample
+/// of the slices it runs, so a slice total above that histogram's sum
+/// means load-step catch-ups went through the executor too.
+#[test]
+fn load_step_catch_ups_reach_the_executor() {
+    let slices = Arc::new(AtomicU64::new(0));
+    let counted = slices.clone();
+    let inner = serial_exec();
+    let exec: SliceExec = Box::new(move |jobs| {
+        counted.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        inner(jobs)
+    });
+    let r = Cluster::new(fleet_config(BatchMode::Pinned, false)).run_with(&exec);
+    let epoch_slices = r.snapshot.histograms["datacenter.active_servers"].sum;
+    let slices = slices.load(Ordering::Relaxed);
+    assert!(
+        slices > epoch_slices,
+        "{slices} slices ran, {epoch_slices} of them epoch advances"
     );
 }
 
