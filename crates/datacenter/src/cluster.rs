@@ -7,19 +7,28 @@
 //! barriers, and the end-of-run marker, and all cluster-state decisions
 //! (placement, balancing, activation, parking) happen while processing
 //! events, strictly in event order. The **server level** is
-//! cycle-accurate: each active server owns a [`simos::Os`] box advanced
+//! cycle-accurate: each active server's [`simos::Os`] box is advanced
 //! to each epoch boundary.
 //!
+//! A server's box is a pure function of the commands the cluster gives
+//! it, so servers given the same command log share one box: a *class*
+//! with a multiplicity. Every group starts as one class. A command given
+//! to only some members of a class splits those members off onto a
+//! replica, which replays the shared log from cycle 0 at its next step.
+//! Cluster bookkeeping stays per server, in server-id order; a shared
+//! box is only stepped and finalized once.
+//!
 //! Parallelism never touches determinism: between two events the
-//! servers' boxes are independent (they share no state), so both the
-//! epoch advance and the load-step catch-up fan them out through a
-//! pluggable [`SliceExec`] and put the results back in server-id
+//! boxes are independent (they share no state), so the epoch advance,
+//! the load-step catch-up and the end-of-run catch-up fan them out
+//! through a pluggable [`SliceExec`] and put the results back in class
 //! order. The serial executor and a work-stealing pool produce
 //! bit-identical clusters. Everything nondeterministic-looking
 //! (placement randomness, bursty load) draws from seeded generators
 //! inside the serial event loop.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use pc3d::Pc3dConfig;
 use protean::{MonitorReport, Registry, Snapshot};
@@ -30,7 +39,9 @@ use visa::Image;
 use crate::analytic::{Mix, PowerModel};
 use crate::event::{Cycles, EventQueue};
 use crate::qps::QpsShape;
-use crate::server::{compile_app, server_machine, server_os_config, Server, ServerSpec};
+use crate::server::{
+    compile_app, server_machine, server_os_config, Server, ServerSpec, ServerStats,
+};
 
 /// How batch work enters the cluster.
 #[derive(Clone, Debug)]
@@ -128,15 +139,16 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A parcel of work for the fan-out: step one server's box to a cluster
-/// time — an epoch advance at a barrier, or a catch-up at a load step.
-/// Self-contained and independent of every other job in the batch, so
-/// executors may run them in any order.
+/// A parcel of work for the fan-out: step one box to a cluster time — an
+/// epoch advance at a barrier, or a catch-up at a load step or at the
+/// end of the run — after applying the commands given to it since its
+/// last step (a replica's whole log). Self-contained and independent of
+/// every other job in the batch, so executors may run them in any order.
 pub struct SliceJob {
     server: Server,
     target: Cycles,
     /// `Server::advance_to` for epochs, `Server::reconcile` for
-    /// load-step catch-ups.
+    /// catch-ups.
     step: fn(&mut Server, Cycles),
 }
 
@@ -269,25 +281,35 @@ enum Ev {
     End,
 }
 
+/// Servers given the same command log: one shared box.
+struct Class {
+    /// The shared box; `None` while out being stepped.
+    server: Option<Server>,
+    /// Ids of the servers sharing it, ascending.
+    members: Vec<usize>,
+}
+
 /// The cluster simulator. Build with [`Cluster::new`], then call
 /// [`run`](Cluster::run) (serial) or [`run_with`](Cluster::run_with)
 /// (custom executor).
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// Server slots; `None` while a server is out being stepped.
-    servers: Vec<Option<Server>>,
+    /// Every distinct box, in creation order.
+    classes: Vec<Class>,
+    /// Class index of each server.
+    class_of: Vec<usize>,
     /// Balancer intent per server.
     desired_active: Vec<bool>,
-    /// `servers` index ranges per group.
+    /// Server id ranges per group.
     group_ranges: Vec<(usize, usize)>,
     /// Measured queries/sec one server sustains, per LS app.
     capacity: BTreeMap<&'static str, f64>,
     /// Compiled images by app name.
-    images: BTreeMap<String, Image>,
+    images: BTreeMap<&'static str, Arc<Image>>,
     /// Round-robin batch app cursor per group.
     batch_cursor: Vec<usize>,
     /// Queued jobs that found no free server: (group, app).
-    job_queue: VecDeque<(usize, String)>,
+    job_queue: VecDeque<(usize, &'static str)>,
     rng: StdRng,
     metrics: Registry,
     peak_active: Vec<usize>,
@@ -308,11 +330,11 @@ impl Cluster {
         assert!(!cfg.groups.is_empty(), "cluster needs at least one group");
         assert!(cfg.epoch_secs > 0.0 && cfg.duration_secs > 0.0);
         let mc = server_machine();
-        let mut images: BTreeMap<String, Image> = BTreeMap::new();
-        let mut compile = |name: &str, protean: bool| {
-            if !images.contains_key(name) {
-                images.insert(name.to_string(), compile_app(name, protean));
-            }
+        let mut images: BTreeMap<&'static str, Arc<Image>> = BTreeMap::new();
+        let mut compile = |name: &'static str, protean: bool| {
+            images
+                .entry(name)
+                .or_insert_with(|| Arc::new(compile_app(name, protean)));
         };
         for g in &cfg.groups {
             compile(g.ls_app, false);
@@ -337,31 +359,37 @@ impl Cluster {
             capacity.insert(g.ls_app, served as f64 / 4.0);
         }
 
-        let mut servers = Vec::new();
+        // Every group starts as one class: its servers have been given
+        // no commands yet.
+        let mut classes = Vec::new();
+        let mut class_of = Vec::new();
         let mut group_ranges = Vec::new();
         for (gi, g) in cfg.groups.iter().enumerate() {
             assert!(g.servers > 0, "group {} has no servers", g.name);
-            let start = servers.len();
-            for i in 0..g.servers {
-                let spec = ServerSpec {
-                    ls_app: g.ls_app,
-                    pc3d: cfg.pc3d,
-                    power: cfg.power,
-                    job_branches: cfg.job_branches,
-                };
-                servers.push(Some(Server::new(start + i, gi, spec)));
-            }
-            group_ranges.push((start, servers.len()));
+            let start = class_of.len();
+            let spec = ServerSpec {
+                ls_app: g.ls_app,
+                pc3d: cfg.pc3d,
+                power: cfg.power,
+                job_branches: cfg.job_branches,
+            };
+            class_of.resize(start + g.servers, classes.len());
+            classes.push(Class {
+                server: Some(Server::new(start, gi, spec)),
+                members: (start..class_of.len()).collect(),
+            });
+            group_ranges.push((start, class_of.len()));
         }
 
         let epoch_cycles = (cfg.epoch_secs * mc.cycles_per_second as f64).round() as Cycles;
         let end_cycles = (cfg.duration_secs * mc.cycles_per_second as f64).round() as Cycles;
-        let n = servers.len();
+        let n = class_of.len();
         let groups = cfg.groups.len();
         let seed = cfg.seed;
         Cluster {
             cfg,
-            servers,
+            classes,
+            class_of,
             desired_active: vec![false; n],
             group_ranges,
             capacity,
@@ -417,14 +445,19 @@ impl Cluster {
         }
         queue.push(self.end_cycles, Ev::End);
 
-        // Pinned mode: every server starts active with its batch stream.
+        // Pinned mode: every server starts active with its batch stream;
+        // servers given the same app share a box.
         if matches!(self.cfg.batch, BatchMode::Pinned) {
             for gi in 0..self.cfg.groups.len() {
                 let (start, end) = self.group_ranges[gi];
+                let mut by_app: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
                 for si in start..end {
                     self.desired_active[si] = true;
                     let app = self.next_batch_app(gi);
-                    self.start_batch_on(si, 0, &app, None);
+                    by_app.entry(app).or_default().push(si);
+                }
+                for (app, ids) in by_app {
+                    self.start_batch_on(&ids, 0, app, None);
                 }
             }
         }
@@ -440,8 +473,8 @@ impl Cluster {
                 Ev::JobArrival { group } => {
                     self.metrics.inc("datacenter.job_arrivals");
                     let app = self.next_batch_app(group);
-                    if let Some(si) = self.place(group, &app) {
-                        self.start_batch_on(si, now, &app, Some(self.cfg.job_branches));
+                    if let Some(si) = self.place(group) {
+                        self.start_batch_on(&[si], now, app, Some(self.cfg.job_branches));
                     } else {
                         self.metrics.inc("datacenter.jobs_queued");
                         self.job_queue.push_back((group, app));
@@ -473,30 +506,71 @@ impl Cluster {
                 }
             }
         }
-        self.finalize(queue)
+        self.finalize(queue, exec)
     }
 
     /// The next batch app of a group's mix, round-robin.
-    fn next_batch_app(&mut self, group: usize) -> String {
+    fn next_batch_app(&mut self, group: usize) -> &'static str {
         let mix = self.cfg.groups[group].mix;
         let app = mix.batch_apps[self.batch_cursor[group] % mix.batch_apps.len()];
         self.batch_cursor[group] += 1;
-        app.to_string()
+        app
     }
 
+    /// The box server `si` shares.
     fn server(&self, si: usize) -> &Server {
-        self.servers[si].as_ref().expect("server checked in")
+        self.classes[self.class_of[si]]
+            .server
+            .as_ref()
+            .expect("server checked in")
     }
 
-    fn server_mut(&mut self, si: usize) -> &mut Server {
-        self.servers[si].as_mut().expect("server checked in")
+    /// The classes of the servers `ids` (ascending). A class only some
+    /// of whose members are in `ids` splits first: those members move
+    /// onto a replica of its box.
+    fn split_off(&mut self, ids: &[usize]) -> Vec<usize> {
+        let mut picked: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &si in ids {
+            picked.entry(self.class_of[si]).or_default().push(si);
+        }
+        picked
+            .into_iter()
+            .map(|(k, targeted)| {
+                if targeted.len() == self.classes[k].members.len() {
+                    return k;
+                }
+                let server = self.server(targeted[0]).replica(targeted[0]);
+                self.classes[k]
+                    .members
+                    .retain(|si| targeted.binary_search(si).is_err());
+                let split = self.classes.len();
+                for &si in &targeted {
+                    self.class_of[si] = split;
+                }
+                self.classes.push(Class {
+                    server: Some(server),
+                    members: targeted,
+                });
+                split
+            })
+            .collect()
     }
 
-    /// Starts a batch stream/job on server `si`.
-    fn start_batch_on(&mut self, si: usize, now: Cycles, app: &str, quota: Option<u64>) {
-        let server = self.servers[si].as_mut().expect("server checked in");
-        let ls_image = &self.images[self.cfg.groups[server.group()].ls_app];
-        server.start_batch(now, ls_image, &self.images[app], app, quota);
+    /// Gives the servers `ids` (ascending) the same commands: `give`
+    /// runs once per class, after [`split_off`](Cluster::split_off).
+    fn command(&mut self, ids: &[usize], give: impl Fn(&mut Server)) {
+        for k in self.split_off(ids) {
+            give(self.classes[k].server.as_mut().expect("server checked in"));
+        }
+    }
+
+    /// Starts a batch stream/job of `app` on the servers `ids` (one
+    /// group, ascending).
+    fn start_batch_on(&mut self, ids: &[usize], now: Cycles, app: &str, quota: Option<u64>) {
+        let group = self.server(ids[0]).group();
+        let ls_image = self.images[self.cfg.groups[group].ls_app].clone();
+        let batch_image = self.images[app].clone();
+        self.command(ids, |s| s.start_batch(now, &ls_image, &batch_image, quota));
     }
 
     /// Re-plans one group at a shape boundary: picks the active-set size
@@ -522,24 +596,23 @@ impl Cluster {
             .filter(|&si| self.server(si).provisioned())
             .collect();
         self.step_servers(&catch_up, now, Server::reconcile, exec);
-        let ls_image = &self.images[self.cfg.groups[group].ls_app];
+        let ls_image = self.images[self.cfg.groups[group].ls_app].clone();
+        let want: Vec<usize> = (start..start + n).collect();
+        let rest: Vec<usize> = (start + n..end).collect();
         for si in start..end {
-            let want = si - start < n;
-            self.desired_active[si] = want;
-            let server = self.servers[si].as_mut().expect("server checked in");
-            if want {
-                server.activate(now, ls_image);
-                server.set_ls_qps(share);
-            } else {
-                // Stop feeding it; it parks once drained (and batch-free).
-                server.set_ls_qps(0.0);
-            }
+            self.desired_active[si] = si < start + n;
         }
+        self.command(&want, |s| {
+            s.activate(now, &ls_image);
+            s.set_ls_qps(share);
+        });
+        // Stop feeding the rest; they park once drained (and batch-free).
+        self.command(&rest, |s| s.set_ls_qps(0.0));
         self.metrics.add("datacenter.rebalances", 1);
     }
 
     /// Picks a free server for a job by the configured policy.
-    fn place(&mut self, group: usize, _app: &str) -> Option<usize> {
+    fn place(&mut self, group: usize) -> Option<usize> {
         let BatchMode::Jobs { placement, .. } = self.cfg.batch else {
             return None;
         };
@@ -585,56 +658,61 @@ impl Cluster {
         Some(pick)
     }
 
-    /// Takes the servers `ids` out, runs `step(server, target)` on each
-    /// through the executor, and reinstalls them in id order.
+    /// Runs `step(server, target)` once per box of the servers `ids`
+    /// (ascending, split off as needed) through the executor, and
+    /// reinstalls the boxes in class order. Returns how many boxes ran.
     fn step_servers(
         &mut self,
         ids: &[usize],
         target: Cycles,
         step: fn(&mut Server, Cycles),
         exec: &SliceExec,
-    ) {
-        let jobs: Vec<SliceJob> = ids
+    ) -> usize {
+        let classes = self.split_off(ids);
+        let jobs: Vec<SliceJob> = classes
             .iter()
-            .map(|&si| SliceJob {
-                server: self.servers[si].take().expect("server checked in"),
+            .map(|&k| SliceJob {
+                server: self.classes[k].server.take().expect("server checked in"),
                 target,
                 step,
             })
             .collect();
+        let sent: Vec<usize> = jobs.iter().map(|j| j.server.id()).collect();
         let stepped = exec(jobs);
-        assert_eq!(stepped.len(), ids.len(), "executor must return every slice");
-        for (&si, server) in ids.iter().zip(stepped) {
-            assert_eq!(server.id(), si, "executor must preserve input order");
-            self.servers[si] = Some(server);
+        assert_eq!(
+            stepped.len(),
+            sent.len(),
+            "executor must return every slice"
+        );
+        for ((&k, id), server) in classes.iter().zip(sent).zip(stepped) {
+            assert_eq!(server.id(), id, "executor must preserve input order");
+            self.classes[k].server = Some(server);
         }
+        classes.len()
     }
 
     /// Fans all active servers out to `target` through the executor.
     fn advance_active(&mut self, target: Cycles, exec: &SliceExec) {
-        let active: Vec<usize> = (0..self.servers.len())
+        let active: Vec<usize> = (0..self.class_of.len())
             .filter(|&si| self.server(si).is_active())
             .collect();
-        self.step_servers(&active, target, Server::advance_to, exec);
+        let boxes = self.step_servers(&active, target, Server::advance_to, exec);
         self.metrics
             .record("datacenter.active_servers", active.len() as u64);
+        self.metrics
+            .record("datacenter.distinct_boxes", boxes as u64);
     }
 
     /// Serial post-epoch bookkeeping: metrics, completions, queued-job
     /// placement, parking.
     fn after_epoch(&mut self, now: Cycles) {
-        // Harvest completions and sample queue depths, in id order.
-        for si in 0..self.servers.len() {
-            if self.servers[si].is_none() {
+        // Sample queue depths and completions, in id order.
+        for si in 0..self.class_of.len() {
+            let s = self.server(si);
+            if !s.is_active() {
                 continue;
             }
-            let (active, report) = {
-                let s = self.server(si);
-                (s.is_active(), s.last_epoch())
-            };
-            if !active {
-                continue;
-            }
+            let report = s.last_epoch();
             self.metrics
                 .record("datacenter.queue_depth", report.queue_depth as u64);
             self.metrics
@@ -643,33 +721,33 @@ impl Cluster {
                 self.metrics
                     .add("datacenter.jobs_completed", report.jobs_completed);
             }
-            let _ = self.server_mut(si).take_completed_job();
         }
         // Place queued jobs onto servers freed this epoch (FIFO).
         let mut still_queued = VecDeque::new();
         while let Some((group, app)) = self.job_queue.pop_front() {
-            if let Some(si) = self.place(group, &app) {
-                self.start_batch_on(si, now, &app, Some(self.cfg.job_branches));
+            if let Some(si) = self.place(group) {
+                self.start_batch_on(&[si], now, app, Some(self.cfg.job_branches));
             } else {
                 still_queued.push_back((group, app));
             }
         }
         self.job_queue = still_queued;
         // Park drained, batch-free servers the balancer gave up on.
-        for si in 0..self.servers.len() {
-            if self.servers[si].is_none() || self.desired_active[si] {
-                continue;
-            }
-            let s = self.server(si);
-            if s.is_active() && !s.has_batch() && s.last_epoch().drained {
-                self.server_mut(si).park();
-            }
-        }
+        let park: Vec<usize> = (0..self.class_of.len())
+            .filter(|&si| {
+                let s = self.server(si);
+                !self.desired_active[si]
+                    && s.is_active()
+                    && !s.has_batch()
+                    && s.last_epoch().drained
+            })
+            .collect();
+        self.command(&park, Server::park);
         // Track peaks.
         for gi in 0..self.group_ranges.len() {
             let (start, end) = self.group_ranges[gi];
             let active = (start..end)
-                .filter(|&si| self.servers[si].as_ref().is_some_and(Server::is_active))
+                .filter(|&si| self.server(si).is_active())
                 .count();
             self.peak_active[gi] = self.peak_active[gi].max(active);
         }
@@ -681,9 +759,9 @@ impl Cluster {
             return;
         }
         let any_active = self
-            .servers
+            .classes
             .iter()
-            .any(|s| s.as_ref().is_some_and(Server::is_active));
+            .any(|c| c.server.as_ref().is_some_and(Server::is_active));
         if !any_active {
             return;
         }
@@ -696,10 +774,26 @@ impl Cluster {
         }
     }
 
-    /// Drains accounting into the final [`ClusterResult`].
-    fn finalize(mut self, queue: EventQueue<Ev>) -> ClusterResult {
+    /// Drains accounting into the final [`ClusterResult`]: catches every
+    /// box up to the end through `exec` (parked boxes, and replicas split
+    /// off after their last step, which replay here), finalizes each box
+    /// once, and folds the results per server in id order.
+    fn finalize(mut self, queue: EventQueue<Ev>, exec: &SliceExec) -> ClusterResult {
         let cps = server_machine().cycles_per_second as f64;
         let duration = self.cfg.duration_secs;
+        let behind: Vec<usize> = (0..self.class_of.len())
+            .filter(|&si| !self.server(si).settled_at(self.end_cycles))
+            .collect();
+        self.step_servers(&behind, self.end_cycles, Server::reconcile, exec);
+        let finals: Vec<(Option<u64>, Option<Snapshot>, ServerStats)> = self
+            .classes
+            .iter_mut()
+            .map(|c| {
+                let server = c.server.as_mut().expect("server checked in");
+                let p99 = server.finalize(self.end_cycles, duration);
+                (p99, server.metrics_snapshot(), server.stats())
+            })
+            .collect();
         let mut groups = Vec::new();
         let mut snapshot = Snapshot::default();
         for (gi, g) in self.cfg.groups.iter().enumerate() {
@@ -722,14 +816,13 @@ impl Cluster {
                 peak_active: self.peak_active[gi],
             };
             for si in start..end {
-                let server = self.servers[si].as_mut().expect("server checked in");
-                if let Some(p99) = server.finalize(self.end_cycles, duration) {
+                let (p99, snap, st) = &finals[self.class_of[si]];
+                if let Some(p99) = *p99 {
                     self.metrics.record("datacenter.ls_p99_cycles", p99);
                 }
-                if let Some(snap) = server.metrics_snapshot() {
-                    snapshot = snapshot.merge(snap);
+                if let Some(snap) = snap {
+                    snapshot = snapshot.merge(snap.clone());
                 }
-                let st = server.stats();
                 r.queries += st.queries;
                 r.jobs_completed += st.jobs_completed;
                 r.batch_branches += st.batch_branches;
@@ -753,7 +846,7 @@ impl Cluster {
         self.metrics
             .set_gauge("datacenter.sim_seconds", queue.now() as f64 / cps);
         self.metrics
-            .set_gauge("datacenter.provisioned_servers", self.servers.len() as f64);
+            .set_gauge("datacenter.provisioned_servers", self.class_of.len() as f64);
         self.metrics
             .record("datacenter.idle_skip_cycles", queue.skipped());
         let queries: i64 = groups.iter().map(|g| g.queries).sum();

@@ -14,8 +14,9 @@
 //!   independent cross-check.
 //! * [`cluster`] + [`scaleout`] — a discrete-event simulation of the
 //!   warehouse itself: an [`event::EventQueue`] drives thousands of
-//!   simulated servers, each lazily instantiating a cycle-accurate
-//!   [`simos::Os`] box only while active; diurnal and bursty [`qps`]
+//!   simulated servers, each backed by a lazily instantiated
+//!   cycle-accurate [`simos::Os`] box that servers given the same
+//!   command log share; diurnal and bursty [`qps`]
 //!   shapes feed the load balancer; batch jobs arrive, get placed, and
 //!   run under per-server PC3D controllers; and Figures 17–18 fall out
 //!   of the simulated event streams instead of assumed utilizations.

@@ -1,7 +1,7 @@
 //! One simulated server: a lazily instantiated cycle-accurate box.
 //!
 //! A [`Server`] starts as a bare record — no machine, no caches, no
-//! processes. The first time the cluster activates it, it instantiates a
+//! processes. When its first activation is applied, it instantiates a
 //! [`simos::Os`] cycle-box (the expensive part), spawns its
 //! latency-sensitive service and, when co-located, a batch host under a
 //! per-server PC3D controller. While parked, the box is retained but
@@ -10,12 +10,26 @@
 //! to stepping through the idle span — so a lazily parked server is
 //! indistinguishable from an always-active one.
 //!
+//! A server's state is a pure function of the commands the cluster has
+//! given it — [`activate`](Server::activate),
+//! [`set_ls_qps`](Server::set_ls_qps), [`start_batch`](Server::start_batch),
+//! [`park`](Server::park), `reconcile` and
+//! [`advance_to`](Server::advance_to). Each server keeps that command
+//! log. Commands that only change intent are logged and take effect on
+//! the box at the next step; the two stepping commands apply everything
+//! logged so far. A [`replica`](Server::replica) starts with the log of
+//! the server it copies and no box, and replays the whole log from cycle
+//! 0 at its first step, which is how the cluster splits servers that
+//! shared one box without cloning an [`Os`].
+//!
 //! Energy accounting integrates the linear power model over the
 //! server's own measured busy fraction; because the model is linear the
 //! integral collapses to a pure function of the exact cycle totals, so
 //! per-server results are independent both of how the cluster fans
 //! servers out across host threads and of how idle time was partitioned
 //! into spans.
+
+use std::sync::Arc;
 
 use machine::{CacheConfig, ExecStatus, MachineConfig};
 use pc3d::{Pc3d, Pc3dConfig};
@@ -105,7 +119,6 @@ struct Harvest {
 
 /// The live batch co-runner on a server.
 struct BatchSlot {
-    app: String,
     pid: Pid,
     ctl: Pc3d,
     /// Branch count at job start (Jobs mode) for quota tracking.
@@ -181,25 +194,57 @@ pub struct EpochReport {
     pub drained: bool,
 }
 
+/// One call the cluster makes on a server, as logged for replay.
+#[derive(Clone, Debug)]
+enum Cmd {
+    Activate {
+        now: Cycles,
+        ls_image: Arc<Image>,
+    },
+    SetLsQps(f64),
+    StartBatch {
+        now: Cycles,
+        ls_image: Arc<Image>,
+        batch_image: Arc<Image>,
+        quota: Option<u64>,
+    },
+    Park,
+    Reconcile(Cycles),
+    AdvanceTo(Cycles),
+}
+
+/// What the cluster reads between steps, current with the whole log:
+/// commands update it when given, so it never waits for the box to
+/// apply them.
+#[derive(Copy, Clone, Debug, Default)]
+struct View {
+    active: bool,
+    provisioned: bool,
+    has_batch: bool,
+    /// The last epoch's report (written by the advance itself).
+    last: EpochReport,
+}
+
 /// One simulated server.
 pub struct Server {
     id: usize,
     group: usize,
     spec: ServerSpec,
+    /// Every command given so far, in order.
+    log: Vec<Cmd>,
+    /// How many `log` entries the state below reflects.
+    applied: usize,
+    view: View,
     box_: Option<Box<CycleBox>>,
     /// Cluster time at which the box was created (box-local cycle 0).
     base: Cycles,
     active: bool,
-    ls_qps: f64,
     stats: ServerStats,
-    last: EpochReport,
     /// Job-units already credited (pinned streams).
     credited_units: u64,
     /// LS queries already folded into `stats.queries` (absolute counter
     /// value at the last harvest).
     counted_queries: i64,
-    /// Jobs-mode completions pending pickup: (app, wait ticket unused).
-    completed_job: Option<String>,
 }
 
 impl Server {
@@ -209,19 +254,99 @@ impl Server {
             id,
             group,
             spec,
+            log: Vec::new(),
+            applied: 0,
+            view: View::default(),
             box_: None,
             base: 0,
             active: false,
-            ls_qps: 0.0,
             stats: ServerStats::default(),
-            last: EpochReport::default(),
             credited_units: 0,
             counted_queries: 0,
-            completed_job: None,
         }
     }
 
-    /// Server id (stable, assigned by the cluster).
+    /// A server with id `id` that has been given the same commands as
+    /// this one, but no box yet: it replays the log from cycle 0 at its
+    /// next step, and reads the same until then.
+    pub(crate) fn replica(&self, id: usize) -> Server {
+        Server {
+            log: self.log.clone(),
+            view: self.view,
+            ..Server::new(id, self.group, self.spec.clone())
+        }
+    }
+
+    /// Whether the box has applied every logged command and reached
+    /// cluster time `t`, so that catching it up to `t` steps nothing.
+    pub(crate) fn settled_at(&self, t: Cycles) -> bool {
+        self.applied == self.log.len()
+            && self
+                .box_
+                .as_ref()
+                .is_none_or(|b| self.base + b.os.now() >= t)
+    }
+
+    /// Logs `cmd`, updating the view by what it means to intent.
+    fn give(&mut self, cmd: Cmd) {
+        let v = &mut self.view;
+        match cmd {
+            Cmd::Activate { .. } => {
+                v.active = true;
+                v.provisioned = true;
+            }
+            Cmd::StartBatch { .. } => {
+                v.active = true;
+                v.provisioned = true;
+                v.has_batch = true;
+            }
+            Cmd::Park => v.active = false,
+            Cmd::SetLsQps(_) | Cmd::Reconcile(_) | Cmd::AdvanceTo(_) => {}
+        }
+        self.log.push(cmd);
+    }
+
+    /// Applies every logged command not applied yet, in order.
+    fn catch_up(&mut self) {
+        let log = std::mem::take(&mut self.log);
+        for cmd in &log[self.applied..] {
+            match cmd {
+                Cmd::Activate { now, ls_image } => self.apply_activate(*now, ls_image),
+                Cmd::SetLsQps(qps) => {
+                    if let Some(b) = self.box_.as_mut() {
+                        let ls = b.ls;
+                        b.os.set_load(ls, LoadSchedule::constant(*qps));
+                    }
+                }
+                Cmd::StartBatch {
+                    now,
+                    ls_image,
+                    batch_image,
+                    quota,
+                } => self.apply_start_batch(*now, ls_image, batch_image, *quota),
+                Cmd::Park => {
+                    if self.active {
+                        self.active = false;
+                        self.stats.parks += 1;
+                    }
+                }
+                Cmd::Reconcile(t) => self.reconcile_box(*t),
+                Cmd::AdvanceTo(t) => self.apply_advance(*t),
+            }
+        }
+        self.applied = log.len();
+        self.log = log;
+        debug_assert_eq!(
+            (self.view.active, self.view.provisioned),
+            (self.active, self.box_.is_some()),
+            "the view tracks what the box applied"
+        );
+        // A Jobs-mode batch host may have finished during an advance.
+        self.view.has_batch = self.box_.as_ref().is_some_and(|b| b.batch.is_some());
+    }
+
+    /// Server id, assigned by the cluster: of the servers sharing this
+    /// box when it was created, the lowest.
     pub fn id(&self) -> usize {
         self.id
     }
@@ -233,37 +358,29 @@ impl Server {
 
     /// Whether the server is currently active (being stepped).
     pub fn is_active(&self) -> bool {
-        self.active
+        self.view.active
     }
 
-    /// Whether the cycle-box has ever been instantiated.
+    /// Whether the cycle-box has been instantiated (or will be, by a
+    /// command given since the last step).
     pub fn provisioned(&self) -> bool {
-        self.box_.is_some()
+        self.view.provisioned
     }
 
-    /// Whether a batch host is currently resident.
+    /// Whether a batch host is resident.
     pub fn has_batch(&self) -> bool {
-        self.box_.as_ref().is_some_and(|b| b.batch.is_some())
+        self.view.has_batch
     }
 
-    /// The LS qps currently assigned by the balancer.
-    pub fn ls_qps(&self) -> f64 {
-        self.ls_qps
-    }
-
-    /// Cumulative accounting.
+    /// Cumulative accounting, as of the last step or
+    /// [`finalize`](Server::finalize).
     pub fn stats(&self) -> ServerStats {
         self.stats
     }
 
     /// The last epoch's report.
     pub fn last_epoch(&self) -> EpochReport {
-        self.last
-    }
-
-    /// Takes the Jobs-mode completion recorded at the last epoch, if any.
-    pub fn take_completed_job(&mut self) -> Option<String> {
-        self.completed_job.take()
+        self.view.last
     }
 
     /// Runs `f` over the box while accounting busy and lifetime cycles
@@ -322,11 +439,17 @@ impl Server {
 
     /// Brings the box's local clock up to `cluster_now`, skipping the
     /// span when provably nothing could run and stepping it otherwise.
-    /// The cluster calls it for a parked box on reactivation, for every
-    /// kept box at a load step, and at end of run. It steps with raw
+    /// The cluster calls it for every kept box at a load step and for
+    /// every box short of the end of the run; activation runs the same
+    /// catch-up for a parked box. It steps with raw
     /// [`Os::advance`], so an active box's PC3D controller does not
     /// drive a span caught up here.
     pub(crate) fn reconcile(&mut self, cluster_now: Cycles) {
+        self.give(Cmd::Reconcile(cluster_now));
+        self.catch_up();
+    }
+
+    fn reconcile_box(&mut self, cluster_now: Cycles) {
         let Some(b) = self.box_.as_ref() else {
             return;
         };
@@ -352,9 +475,16 @@ impl Server {
 
     /// Activates the server at `cluster_now`, creating the box on first
     /// use and reconciling any parked gap.
-    pub fn activate(&mut self, cluster_now: Cycles, ls_image: &Image) {
+    pub fn activate(&mut self, cluster_now: Cycles, ls_image: &Arc<Image>) {
+        self.give(Cmd::Activate {
+            now: cluster_now,
+            ls_image: ls_image.clone(),
+        });
+    }
+
+    fn apply_activate(&mut self, cluster_now: Cycles, ls_image: &Image) {
         self.ensure_box(cluster_now, ls_image);
-        self.reconcile(cluster_now);
+        self.reconcile_box(cluster_now);
         if !self.active {
             self.active = true;
             self.stats.activations += 1;
@@ -366,25 +496,19 @@ impl Server {
     /// [`EpochReport::drained`]); a non-drained park is still correct,
     /// just reconciled by stepping instead of skipping.
     pub fn park(&mut self) {
-        if self.active {
-            self.active = false;
-            self.stats.parks += 1;
-        }
+        self.give(Cmd::Park);
     }
 
-    /// Sets the balancer-assigned LS load, effective immediately.
+    /// Sets the balancer-assigned LS load, effective from the box's
+    /// current time.
     pub fn set_ls_qps(&mut self, qps: f64) {
-        self.ls_qps = qps;
-        if let Some(b) = self.box_.as_mut() {
-            let ls = b.ls;
-            b.os.set_load(ls, LoadSchedule::constant(qps));
-        }
+        self.give(Cmd::SetLsQps(qps));
     }
 
-    /// Installs a batch host running `app` under a fresh PC3D
-    /// controller. `quota` bounds the current job in branches (Jobs
-    /// mode); `None` means a pinned stream accounted in
-    /// [`ServerSpec::job_branches`] units.
+    /// Activates the server and installs a batch host running
+    /// `batch_image` under a fresh PC3D controller. `quota` bounds the
+    /// current job in branches (Jobs mode); `None` means a pinned stream
+    /// accounted in [`ServerSpec::job_branches`] units.
     ///
     /// # Panics
     ///
@@ -392,16 +516,29 @@ impl Server {
     pub fn start_batch(
         &mut self,
         cluster_now: Cycles,
-        ls_image: &Image,
-        batch_image: &Image,
-        app: &str,
+        ls_image: &Arc<Image>,
+        batch_image: &Arc<Image>,
         quota: Option<u64>,
     ) {
-        self.activate(cluster_now, ls_image);
+        assert!(!self.view.has_batch, "batch slot already occupied");
+        self.give(Cmd::StartBatch {
+            now: cluster_now,
+            ls_image: ls_image.clone(),
+            batch_image: batch_image.clone(),
+            quota,
+        });
+    }
+
+    fn apply_start_batch(
+        &mut self,
+        cluster_now: Cycles,
+        ls_image: &Image,
+        batch_image: &Image,
+        quota: Option<u64>,
+    ) {
+        self.apply_activate(cluster_now, ls_image);
         let spec_pc3d = self.spec.pc3d;
-        let app = app.to_string();
         self.timed(|b| {
-            assert!(b.batch.is_none(), "batch slot already occupied");
             let pid = b.os.spawn(batch_image, 1);
             let rt = Runtime::attach(&b.os, pid, RuntimeConfig::on_core(2))
                 .expect("attach runtime to batch host");
@@ -411,7 +548,6 @@ impl Server {
             let ctl = Pc3d::new(&mut b.os, rt, ext, spec_pc3d);
             let start_branches = b.os.proc(pid).counters().branches;
             b.batch = Some(BatchSlot {
-                app,
                 pid,
                 ctl,
                 start_branches,
@@ -422,11 +558,11 @@ impl Server {
 
     /// Tears down the current batch host (Jobs mode completion),
     /// harvesting its branch count and QoS record.
-    fn finish_batch(&mut self) -> Option<String> {
+    fn finish_batch(&mut self) {
         let spec = &self.spec;
         let qos_floor = spec.pc3d.qos_target - spec.pc3d.qos_epsilon;
-        let b = self.box_.as_mut()?;
-        let slot = b.batch.take()?;
+        let b = self.box_.as_mut().expect("a finished job ran on a box");
+        let slot = b.batch.take().expect("a finished job has its host");
         let branches = b.os.proc(slot.pid).counters().branches;
         b.harvested.branches += branches;
         self.stats.qos_violations += slot
@@ -438,14 +574,19 @@ impl Server {
         let mut ctl = slot.ctl;
         ctl.force_detach(&mut b.os);
         b.os.kill(slot.pid);
-        Some(slot.app)
     }
 
-    /// Advances the box to cluster time `target`. For servers with a
-    /// batch host the PC3D controller drives the advance (and may
-    /// overshoot by up to one control window — later epochs absorb it);
-    /// LS-only servers step the exact cycle count.
+    /// Applies every command given since the last step, then advances
+    /// the box to cluster time `target`. For servers with a batch host
+    /// the PC3D controller drives the advance (and may overshoot by up
+    /// to one control window — later epochs absorb it); LS-only servers
+    /// step the exact cycle count.
     pub fn advance_to(&mut self, target: Cycles) {
+        self.give(Cmd::AdvanceTo(target));
+        self.catch_up();
+    }
+
+    fn apply_advance(&mut self, target: Cycles) {
         if !self.active {
             return;
         }
@@ -489,7 +630,7 @@ impl Server {
         };
         if quota_done {
             self.stats.jobs_completed += 1;
-            self.completed_job = self.finish_batch();
+            self.finish_batch();
         }
         if let Some(units) = pinned_units {
             if units > self.credited_units {
@@ -504,7 +645,7 @@ impl Server {
         let queue_depth = b.os.queue_depth(b.ls);
         let drained = queue_depth == 0 && b.os.status(b.ls) == ExecStatus::Waiting;
         let queries = self.harvest_queries();
-        self.last = EpochReport {
+        self.view.last = EpochReport {
             queries,
             jobs_completed: self.stats.jobs_completed - jobs0,
             busy_frac: if dt == 0 {
@@ -528,6 +669,7 @@ impl Server {
         // parked server matches an always-active one bit for bit) and
         // covers pre-provisioning and parked spans uniformly as idle
         // time.
+        self.catch_up();
         let power = self.spec.power;
         let mc = server_machine();
         let cps = mc.cycles_per_second as f64;
@@ -539,7 +681,7 @@ impl Server {
             self.stats.energy_joules = power.idle_watts * total_duration_secs;
             return None;
         }
-        self.reconcile(cluster_end);
+        self.reconcile_box(cluster_end);
         self.harvest_queries();
         let qos_floor = self.spec.pc3d.qos_target - self.spec.pc3d.qos_epsilon;
         let b = self.box_.as_mut().expect("box exists");
@@ -594,7 +736,7 @@ mod tests {
     /// same load segments and asserts the satellite property: the lazily
     /// parked server is bit-identical to the always-active one.
     fn run_pair(segments: &[(bool, u8)]) -> (Server, Server) {
-        let image = compile_app("web-search", false);
+        let image = Arc::new(compile_app("web-search", false));
         let mut a = Server::new(0, 0, spec());
         let mut b = Server::new(1, 0, spec());
         a.activate(0, &image);
@@ -648,8 +790,70 @@ mod tests {
         assert!(sa.queries > 0, "load was actually served");
     }
 
+    /// The web-search service and a protean batch host, compiled once.
+    fn images() -> &'static (Arc<Image>, Arc<Image>) {
+        static IMAGES: std::sync::OnceLock<(Arc<Image>, Arc<Image>)> = std::sync::OnceLock::new();
+        IMAGES.get_or_init(|| {
+            (
+                Arc::new(compile_app("web-search", false)),
+                Arc::new(compile_app("libquantum", true)),
+            )
+        })
+    }
+
+    /// Gives `s` command `kind` (any of the six) at cluster time `now`;
+    /// `arg` picks the load or the batch quota.
+    fn give(s: &mut Server, (kind, arg): (u8, u8), now: Cycles) {
+        let (ls, batch) = images();
+        match kind {
+            0 => s.activate(now, ls),
+            1 => s.set_ls_qps(f64::from(arg % 4) * 5.0),
+            2 => s.advance_to(now),
+            3 => s.reconcile(now),
+            4 => s.park(),
+            _ if !s.has_batch() => s.start_batch(now, ls, batch, (arg % 2 == 0).then_some(2_000)),
+            _ => {}
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A replica split off at any point of any command interleaving,
+        /// then given the same remaining commands, replays to the live
+        /// server bit for bit.
+        #[test]
+        fn replica_replay_bit_identity(
+            ops in vec((0u8..6, any::<u8>()), 1..12),
+            split in any::<u8>(),
+        ) {
+            let split = usize::from(split) % (ops.len() + 1);
+            let mut live = Server::new(0, 0, spec());
+            let mut replica = None;
+            let mut now: Cycles = 0;
+            for (i, &op) in ops.iter().enumerate() {
+                if i == split {
+                    replica = Some(live.replica(1));
+                }
+                now += EPOCH / 2;
+                give(&mut live, op, now);
+                if let Some(r) = replica.as_mut() {
+                    give(r, op, now);
+                }
+            }
+            let mut replica = replica.unwrap_or_else(|| live.replica(1));
+            let secs = now as f64 / server_machine().cycles_per_second as f64;
+            let p99 = (live.finalize(now, secs), replica.finalize(now, secs));
+            prop_assert_eq!(p99.0, p99.1);
+            let (sa, sb) = (live.stats(), replica.stats());
+            prop_assert_eq!(sa, sb);
+            prop_assert_eq!(sa.energy_joules.to_bits(), sb.energy_joules.to_bits());
+            prop_assert_eq!(
+                format!("{:?}", live.last_epoch()),
+                format!("{:?}", replica.last_epoch())
+            );
+            prop_assert_eq!(live.metrics_snapshot(), replica.metrics_snapshot());
+        }
 
         /// Any interleaving of load and idle segments leaves the parked
         /// server's accounting bit-identical to the always-active one's.

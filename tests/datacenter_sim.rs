@@ -2,7 +2,8 @@
 //! simulator: small seeded clusters must be bit-identical whether the
 //! per-server cycle boxes are stepped serially or fanned out across the
 //! experiment thread pool, load-step catch-ups must reach the executor,
-//! and the `datacenter.*` metrics must flow into a `MonitorReport`.
+//! servers with the same command log must share one box, and the
+//! `datacenter.*` metrics must flow into a `MonitorReport`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -142,9 +143,10 @@ fn diurnal_fleets_are_bit_identical_serial_vs_pool() {
     }
 }
 
-/// Every epoch advance records one `datacenter.active_servers` sample
-/// of the slices it runs, so a slice total above that histogram's sum
-/// means load-step catch-ups went through the executor too.
+/// Every epoch advance records one `datacenter.distinct_boxes` sample
+/// of the slices it runs (one per shared box, not one per active
+/// server), so a slice total above that histogram's sum means load-step
+/// catch-ups went through the executor too.
 #[test]
 fn load_step_catch_ups_reach_the_executor() {
     let slices = Arc::new(AtomicU64::new(0));
@@ -155,12 +157,38 @@ fn load_step_catch_ups_reach_the_executor() {
         inner(jobs)
     });
     let r = Cluster::new(fleet_config(BatchMode::Pinned, false)).run_with(&exec);
-    let epoch_slices = r.snapshot.histograms["datacenter.active_servers"].sum;
+    let epoch_slices = r.snapshot.histograms["datacenter.distinct_boxes"].sum;
     let slices = slices.load(Ordering::Relaxed);
     assert!(
         slices > epoch_slices,
         "{slices} slices ran, {epoch_slices} of them epoch advances"
     );
+}
+
+/// Pinned batch apps go round-robin over a 4-app mix, so a group of 12
+/// servers is 4 command logs: every epoch steps 4 boxes for 12 servers.
+#[test]
+fn pinned_group_shares_one_box_per_batch_app() {
+    let cfg = ClusterConfig {
+        groups: vec![GroupSpec {
+            name: "web-search/WL1".into(),
+            ls_app: "web-search",
+            mix: MIXES[0],
+            servers: 12,
+            shape: QpsShape::diurnal(4.0, 120.0, 30.0, 1.0, 0.0, 1.0),
+        }],
+        batch: BatchMode::Pinned,
+        duration_secs: 4.0,
+        consolidate: false,
+        seed: 1,
+        ..ClusterConfig::default()
+    };
+    let r = Cluster::new(cfg).run_with(&serial_exec());
+    let boxes = &r.snapshot.histograms["datacenter.distinct_boxes"];
+    let active = &r.snapshot.histograms["datacenter.active_servers"];
+    assert!(boxes.count > 0, "epochs ran");
+    assert_eq!((boxes.min, boxes.max), (4, 4), "{boxes:?}");
+    assert_eq!((active.min, active.max), (12, 12), "{active:?}");
 }
 
 #[test]
